@@ -14,9 +14,6 @@ A fourth measurement arms the elastic subsystem with the ``static``
 autoscaler and ``accept_all`` admission — the autoscaler never
 evaluates and the admission never rejects, so the per-request records
 must stay identical and the delta is the elastic path's pure overhead.
-A fifth measurement times a full ``repro lint`` pass over the tree —
-the invariant gate runs on every CI push, so its wall-clock (and that
-it still reports zero non-baselined findings) is part of the record.
 
 Plain script (no pytest fixtures) so CI can smoke it with only numpy
 installed::
@@ -25,11 +22,10 @@ installed::
         --bench-json BENCH_9.json
 
 ``--bench-json`` writes the numbers machine-readably (per-method
-tokens/s and span-vs-token speedup, plus the kvstore, fault-path,
-elastic-path overhead blocks and the lint-runtime block) for CI
-artifact upload.  There are deliberately no timing assertions —
-the speedup is printed for the record; only the span-vs-token
-equivalence is asserted.
+tokens/s and span-vs-token speedup, plus the kvstore, fault-path and
+elastic-path overhead blocks) for CI artifact upload.  There are
+deliberately no timing assertions — the speedup is printed for the
+record; only the span-vs-token equivalence is asserted.
 """
 
 from __future__ import annotations
@@ -74,7 +70,8 @@ def run(scale: float = 1.0, dataset: str = "cocktail",
     for method in methods:
         token = artifacts["token"].perf[method]
         span = artifacts["span"].perf[method]
-        speedup = token["wall_s"] / span["wall_s"]
+        speedup = (token["wall_s"] / span["wall_s"]
+                   if span["wall_s"] > 0 else 0.0)
         table.add_row(method, token["simulated_tokens"],
                       round(token["tokens_per_s"]),
                       round(span["tokens_per_s"]),
@@ -88,7 +85,6 @@ def run(scale: float = 1.0, dataset: str = "cocktail",
     record["kvstore_overhead"] = _kvstore_overhead(runner, base)
     record["fault_overhead"] = _fault_overhead(runner, base)
     record["elastic_overhead"] = _elastic_overhead(runner, base)
-    record["lint_runtime"] = _lint_runtime()
     return table, record
 
 
@@ -177,35 +173,6 @@ def _elastic_overhead(runner: Runner, base: Scenario) -> dict:
     }
 
 
-def _lint_runtime() -> dict:
-    """One full ``repro lint`` pass, timed.
-
-    The invariant gate runs on every push, so its cost rides along in
-    the benchmark record; a clean tree must report zero non-baselined
-    findings, and that is asserted here like the equivalence checks
-    above.
-    """
-    from time import perf_counter
-
-    from repro.lint import run_lint
-
-    start = perf_counter()
-    result = run_lint()
-    wall = perf_counter() - start
-    if not result.ok:
-        raise AssertionError(
-            "repro lint found non-baselined findings:\n"
-            + "\n".join(f.render() for f in result.findings))
-    return {
-        "wall_s": wall,
-        "n_files": result.n_files,
-        "files_per_s": result.n_files / wall if wall > 0 else 0.0,
-        "new_findings": len(result.findings),
-        "baselined": len(result.baselined),
-        "suppressed": len(result.suppressed),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0,
@@ -236,14 +203,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{eover['overhead_frac'] * 100:.1f}% wall "
           f"({eover['wall_s_plain']:.3f}s -> "
           f"{eover['wall_s_elastic_armed']:.3f}s)")
-    lint = record["lint_runtime"]
-    print(f"repro lint runtime: {lint['wall_s']:.3f}s for "
-          f"{lint['n_files']} files ({lint['files_per_s']:.0f} files/s, "
-          f"{lint['new_findings']} findings, "
-          f"{lint['suppressed']} pragma-suppressed)")
     if args.bench_json:
         path = Path(args.bench_json)
-        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        path.write_text(json.dumps(record, indent=1, sort_keys=True,
+                                   allow_nan=False) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -138,7 +138,9 @@ def _timed_simulate(config: ClusterConfig, trace: list[TraceRequest],
         "step_mode": config.step_mode,
         "wall_s": wall_s,
         "simulated_tokens": tokens,
-        "tokens_per_s": tokens / wall_s if wall_s > 0 else float("inf"),
+        # A clock too coarse to see the run reports 0.0, not Infinity,
+        # which standard JSON cannot encode.
+        "tokens_per_s": tokens / wall_s if wall_s > 0 else 0.0,
     }
     return result, perf
 

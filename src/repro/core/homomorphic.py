@@ -89,30 +89,49 @@ def homomorphic_matmul(
         Float matrix of shape ``(M, N)``.
     """
     _check_operands(qa, qb)
-    bounds = qa.bounds()
-    m, n = qa.codes.shape[0], qb.codes.shape[1]
-    out = np.zeros((m, n), dtype=np.float64)
+    (m, z), n = qa.codes.shape, qb.codes.shape[1]
+    pi = qa.partition_size
+    n_parts = -(-z // pi)
+    # Codes zero-padded to whole partitions: (P, M, Π) and (P, Π, N).
+    # Padding contributes nothing to any product or sum, so a ragged
+    # last partition needs only its true width in the constant term.
+    # The batched float product is the integer matmul exactly as long
+    # as a partition's largest code-product sum is an integer the float
+    # type holds exactly: float32 up to 2**24 (HACK's 8-bit × 2-bit
+    # codes with Π=64 reach 48960), float64 up to 2**53 otherwise.
+    largest = ((1 << qa.bits) - 1) * ((1 << qb.bits) - 1) * pi
+    dtype = np.float32 if largest <= 1 << 24 else np.float64
+    a = _padded(qa.codes.T, n_parts * pi, dtype).T
+    a = a.reshape(m, n_parts, pi).transpose(1, 0, 2)
+    b = _padded(qb.codes, n_parts * pi, dtype).reshape(n_parts, pi, n)
+    widths = np.minimum(pi, z - pi * np.arange(n_parts))[:, None, None]
 
-    b_sums = qb.partition_sums(cached=use_cached_b_sums)  # (P, N)
-    a_codes = qa.codes.astype(np.int64)
-    b_codes = qb.codes.astype(np.int64)
+    int_prod = a @ b                                   # (P, M, N)
+    a_sum = a.sum(axis=2)[:, :, None]                  # (P, M, 1)
+    b_sums = qb.partition_sums(cached=use_cached_b_sums)[:, None, :]
+    s_a = qa.scales.T[:, :, None]                      # (P, M, 1)
+    m_a = qa.mins.T[:, :, None]
+    s_b = qb.scales[:, None, :]                        # (P, 1, N)
+    m_b = qb.mins[:, None, :]
+    partials = (
+        s_a * s_b * int_prod
+        + m_b * (s_a * a_sum)
+        + m_a * (s_b * b_sums)
+        + widths * m_a * m_b
+    )
+    # Summed in partition order from zero: the association every
+    # caller's results (and the golden pins) were computed with.
+    out = np.zeros((m, n))
+    for part in partials:
+        out += part
+    return out
 
-    for p, (lo, hi) in enumerate(bounds):
-        width = hi - lo
-        int_prod = a_codes[:, lo:hi] @ b_codes[lo:hi, :]
-        a_sum = a_codes[:, lo:hi].sum(axis=1)  # (M,)
 
-        s_a = qa.scales[:, p][:, None]  # (M, 1)
-        m_a = qa.mins[:, p][:, None]
-        s_b = qb.scales[p, :][None, :]  # (1, N)
-        m_b = qb.mins[p, :][None, :]
-
-        out += (
-            s_a * s_b * int_prod
-            + m_b * (s_a * a_sum[:, None])
-            + m_a * (s_b * b_sums[p, :][None, :])
-            + width * m_a * m_b
-        )
+def _padded(codes: np.ndarray, rows: int, dtype) -> np.ndarray:
+    """``codes`` as ``dtype``, zero-padded below to ``rows`` rows."""
+    out = np.empty((rows, codes.shape[1]), dtype)
+    out[:codes.shape[0]] = codes
+    out[codes.shape[0]:] = 0
     return out
 
 

@@ -28,6 +28,29 @@ forms whole partitions of its own and never disturbs existing metadata;
 V is partitioned along the sequence dimension, which is what creates
 the partial-block problem RQE solves (Fig. 7).
 
+Storage
+-------
+Every cache keeps its contents in contiguous arrays laid out exactly as
+attention consumes them, so a decode step reads views and never
+rebuilds an operand from per-token pieces:
+
+* ``HackKVCache`` stores K already transposed: codes ``(d_h, cap)``
+  uint8 and per-token mins, scales and (under SE) code sums
+  ``(P_k, cap)``, ``P_k = ⌈d_h/Π⌉``.  V's full blocks are codes
+  ``(cap, d_h)`` uint8 with one metadata row ``(d_h,)`` per block for
+  the mins, scales and sums.  Under RQE the partial block is an FP
+  ``(Π, d_h)`` buffer; without RQE its requantized codes and metadata
+  sit in the block slot it will occupy once full.
+* ``DequantizingKVCache`` stores K and V codes ``(cap, d_h)`` uint8 with
+  per-token mins and scales ``(cap, P)``, so a decode step dequantizes
+  the whole cache in one call per operand.
+* ``Fp16KVCache`` stores K and V as ``(cap, d_h)`` rows.
+
+Growth policy: a buffer whose capacity an append would overrun is
+reallocated with at least twice the capacity and its live entries
+copied over, so appends cost amortized O(1) copies per token and no
+buffer holds more than twice its live entries.
+
 Every cache tallies a :class:`CacheLedger` of analytic operation counts
 so integration tests and the performance model can charge exactly what
 each design pays.
@@ -46,7 +69,6 @@ from .packing import packed_nbytes
 from .quantize import (
     QuantizedTensor,
     dequantize,
-    partition_bounds,
     quantize,
     sum_storage_bits,
 )
@@ -77,6 +99,42 @@ class CacheLedger:
         self.quant_flops += other.quant_flops
         self.requant_events += other.requant_events
         self.decode_iterations += other.decode_iterations
+
+
+class _Growable:
+    """A 2-D array that grows along ``axis``; entries ``[:n]`` are live.
+
+    See the module docstring for the growth policy.
+    """
+
+    def __init__(self, width: int, dtype, axis: int = 0) -> None:
+        self.axis = axis
+        self.n = 0
+        self._buf = np.empty((0, width) if axis == 0 else (width, 0), dtype)
+
+    def _index(self, start: int, stop: int) -> tuple[slice, ...]:
+        span = slice(start, stop)
+        return (span,) if self.axis == 0 else (slice(None), span)
+
+    def live(self, start: int = 0) -> np.ndarray:
+        """View of the live entries from ``start`` on."""
+        return self._buf[self._index(start, self.n)]
+
+    def put(self, start: int, block: np.ndarray) -> None:
+        """Write ``block`` at ``start``; the live part then ends after it."""
+        stop = start + block.shape[self.axis]
+        capacity = self._buf.shape[self.axis]
+        if stop > capacity:
+            shape = list(self._buf.shape)
+            shape[self.axis] = max(stop, 2 * capacity)
+            grown = np.empty(shape, self._buf.dtype)
+            grown[self._index(0, self.n)] = self.live()
+            self._buf = grown
+        self._buf[self._index(start, stop)] = block
+        self.n = stop
+
+    def append(self, block: np.ndarray) -> None:
+        self.put(self.n, block)
 
 
 class _BaseKVCache:
@@ -114,13 +172,13 @@ class Fp16KVCache(_BaseKVCache):
 
     def __init__(self, head_dim: int) -> None:
         super().__init__(head_dim)
-        self._k: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
+        self._k = _Growable(head_dim, np.float64)
+        self._v = _Growable(head_dim, np.float64)
 
     def append(self, k_vec: np.ndarray, v_vec: np.ndarray) -> None:
         """Add one token's K and V rows."""
-        self._k.append(self._check_vec(k_vec, "k_vec"))
-        self._v.append(self._check_vec(v_vec, "v_vec"))
+        self._k.append(self._check_vec(k_vec, "k_vec")[None, :])
+        self._v.append(self._check_vec(v_vec, "v_vec")[None, :])
         self._length += 1
 
     def append_bulk(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -129,18 +187,18 @@ class Fp16KVCache(_BaseKVCache):
         v = self._check_bulk(v, "v")
         if k.shape[0] != v.shape[0]:
             raise ValueError("k and v must hold the same number of tokens")
-        self._k.extend(k)
-        self._v.extend(v)
+        self._k.append(k)
+        self._v.append(v)
         self._length += k.shape[0]
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the cache contents as (K, V) matrices."""
-        return np.array(self._k), np.array(self._v)
+        return self._k.live().copy(), self._v.live().copy()
 
     def attention(self, q_vec: np.ndarray) -> np.ndarray:
         """One exact decode step: attend ``q_vec`` over the whole cache."""
         q = self._check_vec(q_vec, "q_vec")[None, :]
-        k, v = self.materialize()
+        k, v = self._k.live(), self._v.live()
         scores = (q @ k.T) / np.sqrt(self.head_dim)
         probs = softmax(scores, axis=-1)
         out = probs @ v
@@ -175,8 +233,17 @@ class DequantizingKVCache(_BaseKVCache):
         self.kv_bits = kv_bits
         self.rounding = rounding
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._k_parts: list[QuantizedTensor] = []
-        self._v_parts: list[QuantizedTensor] = []
+        n_parts = -(-head_dim // partition_size)
+
+        def plane() -> tuple[_Growable, _Growable, _Growable]:
+            # Codes (cap, d_h), then mins and scales (cap, P).
+            return (_Growable(head_dim, np.uint8),
+                    _Growable(n_parts, np.float64),
+                    _Growable(n_parts, np.float64))
+
+        self._planes = (plane(), plane())   # K, V
+        # Codes are packed per append, so bytes add up per append too.
+        self._code_nbytes = 0
 
     def append(self, k_vec: np.ndarray, v_vec: np.ndarray) -> None:
         """Quantize and store one token's K and V rows."""
@@ -193,20 +260,27 @@ class DequantizingKVCache(_BaseKVCache):
             raise ValueError("k and v must hold the same number of tokens")
         if k.shape[0] == 0:
             return
-        for mat, parts in ((k, self._k_parts), (v, self._v_parts)):
-            parts.append(
-                quantize(mat, self.kv_bits, axis=1,
-                         partition_size=self.partition_size,
-                         rng=self._rng, rounding=self.rounding)
-            )
+        for mat, (codes, mins, scales) in zip((k, v), self._planes):
+            qt = quantize(mat, self.kv_bits, axis=1,
+                          partition_size=self.partition_size,
+                          rng=self._rng, rounding=self.rounding)
+            codes.append(qt.codes)
+            mins.append(qt.mins)
+            scales.append(qt.scales)
+            self._code_nbytes += qt.code_nbytes()
             self.ledger.quant_flops += costs.quantize_flops(mat.size)
         self._length += k.shape[0]
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Dequantize the whole cache to (K̂, V̂)."""
-        k = np.concatenate([dequantize(p) for p in self._k_parts], axis=0)
-        v = np.concatenate([dequantize(p) for p in self._v_parts], axis=0)
-        return k, v
+        k_hat, v_hat = (
+            dequantize(QuantizedTensor(
+                codes=codes.live(), mins=mins.live(), scales=scales.live(),
+                bits=self.kv_bits, axis=1,
+                partition_size=self.partition_size))
+            for codes, mins, scales in self._planes
+        )
+        return k_hat, v_hat
 
     def attention(self, q_vec: np.ndarray) -> np.ndarray:
         """One decode step: dequantize everything, then FP attention."""
@@ -226,10 +300,9 @@ class DequantizingKVCache(_BaseKVCache):
 
     def kv_nbytes(self) -> int:
         """Bytes for packed codes plus FP16 quantization metadata."""
-        return sum(
-            p.code_nbytes() + p.metadata_nbytes()
-            for p in self._k_parts + self._v_parts
-        )
+        n_meta = sum(mins.live().size + scales.live().size
+                     for _, mins, scales in self._planes)
+        return self._code_nbytes + n_meta * _FP16_BYTES
 
 
 class HackKVCache(_BaseKVCache):
@@ -275,18 +348,23 @@ class HackKVCache(_BaseKVCache):
         self.rounding = rounding
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-        # K: one row per token, partitions along the head dimension.
-        self._k_codes: list[np.ndarray] = []   # each (d,)
-        self._k_mins: list[np.ndarray] = []    # each (P_k,)
-        self._k_scales: list[np.ndarray] = []
-        self._k_sums: list[np.ndarray] = []    # each (P_k,), only when SE
+        # Kᵀ: one column per token, partitions along the head dimension.
+        n_parts_k = -(-head_dim // partition_size)
+        self._kt_codes = _Growable(head_dim, np.uint8, axis=1)     # (d, cap)
+        self._kt_mins = _Growable(n_parts_k, np.float64, axis=1)   # (P_k, cap)
+        self._kt_scales = _Growable(n_parts_k, np.float64, axis=1)
+        self._kt_sums = (_Growable(n_parts_k, np.int64, axis=1)
+                         if enable_se else None)
 
-        # V: full sequence-dimension blocks of Π tokens.
-        self._v_blocks: list[QuantizedTensor] = []   # each (Π, d), axis=0
-        # Partial last block: FP16 rows under RQE, or a ragged
-        # QuantizedTensor (requantized on every append) without RQE.
-        self._v_tail_fp: list[np.ndarray] = []
-        self._v_tail_q: QuantizedTensor | None = None
+        # V: blocks of Π tokens, one metadata row per block.
+        self._v_codes = _Growable(head_dim, np.uint8)              # (cap, d)
+        self._v_mins = _Growable(head_dim, np.float64)             # (blocks, d)
+        self._v_scales = _Growable(head_dim, np.float64)
+        self._v_sums = _Growable(head_dim, np.int64) if enable_se else None
+        self._n_blocks = 0
+        # RQE's partial last block, kept in FP until it fills.
+        self._v_tail = np.empty((partition_size, head_dim))
+        self._n_tail = 0
 
     # -- appends ----------------------------------------------------------
 
@@ -315,33 +393,31 @@ class HackKVCache(_BaseKVCache):
         qt = quantize(k, self.kv_bits, axis=1, partition_size=self.partition_size,
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(k.size)
-        sums = qt.partition_sums() if self.enable_se else None
-        for i in range(k.shape[0]):
-            self._k_codes.append(qt.codes[i])
-            self._k_mins.append(qt.mins[i])
-            self._k_scales.append(qt.scales[i])
-            if sums is not None:
-                self._k_sums.append(sums[i])
+        self._kt_codes.append(qt.codes.T)
+        self._kt_mins.append(qt.mins.T)
+        self._kt_scales.append(qt.scales.T)
+        if self._kt_sums is not None:
+            self._kt_sums.append(qt.partition_sums().T)
 
     def _append_v_row(self, v_vec: np.ndarray) -> None:
         if self.enable_rqe:
-            self._v_tail_fp.append(v_vec)
-            if len(self._v_tail_fp) == self.partition_size:
+            self._v_tail[self._n_tail] = v_vec
+            self._n_tail += 1
+            if self._n_tail == self.partition_size:
                 self._flush_v_tail()
         else:
             self._requantize_v_tail(v_vec)
 
     def _flush_v_tail(self) -> None:
         """Quantize a now-full FP16 tail into a permanent V block (RQE)."""
-        block = np.array(self._v_tail_fp)
+        block = self._v_tail
         qt = quantize(block, self.kv_bits, axis=0,
                       partition_size=self.partition_size,
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(block.size)
-        if self.enable_se:
-            qt.partition_sums()  # memoize now; reads are free afterwards
-        self._v_blocks.append(qt)
-        self._v_tail_fp = []
+        self._store_v_block(qt)
+        self._n_blocks += 1
+        self._n_tail = 0
 
     def _requantize_v_tail(self, v_vec: np.ndarray) -> None:
         """Faithful no-RQE path: dequantize-extend-requantize (Fig. 8).
@@ -350,10 +426,10 @@ class HackKVCache(_BaseKVCache):
         extra error relative to RQE — the dequantized values, not the
         originals, are requantized under the widened ``[min, max]``.
         """
-        if self._v_tail_q is None:
+        if self._v_codes.n == self._n_blocks * self.partition_size:
             rows = v_vec[None, :]
         else:
-            old = dequantize(self._v_tail_q)
+            old = dequantize(self._v_quantized(first_block=self._n_blocks))
             self.ledger.dequant_flops += costs.dequantize_flops(old.size)
             rows = np.concatenate([old, v_vec[None, :]], axis=0)
             self.ledger.requant_events += 1
@@ -361,13 +437,17 @@ class HackKVCache(_BaseKVCache):
                       partition_size=self.partition_size,
                       rng=self._rng, rounding=self.rounding)
         self.ledger.quant_flops += costs.quantize_flops(rows.size)
+        self._store_v_block(qt)
         if rows.shape[0] == self.partition_size:
-            if self.enable_se:
-                qt.partition_sums()
-            self._v_blocks.append(qt)
-            self._v_tail_q = None
-        else:
-            self._v_tail_q = qt
+            self._n_blocks += 1
+
+    def _store_v_block(self, qt: QuantizedTensor) -> None:
+        """Write a (possibly partial) quantized block into the next slot."""
+        self._v_codes.put(self._n_blocks * self.partition_size, qt.codes)
+        self._v_mins.put(self._n_blocks, qt.mins)
+        self._v_scales.put(self._n_blocks, qt.scales)
+        if self._v_sums is not None:
+            self._v_sums.put(self._n_blocks, qt.partition_sums())
 
     # -- attention ---------------------------------------------------------
 
@@ -389,9 +469,7 @@ class HackKVCache(_BaseKVCache):
         probs = softmax(scores, axis=-1)
 
         out = np.zeros((1, d))
-        n_quantized = len(self._v_blocks) * self.partition_size
-        if self._v_tail_q is not None:
-            n_quantized += self._v_tail_q.codes.shape[0]
+        n_quantized = self._v_codes.n
 
         if n_quantized:
             p_part = probs[:, :n_quantized]
@@ -406,10 +484,9 @@ class HackKVCache(_BaseKVCache):
                 1, n_quantized, d, self.enable_se
             )
 
-        n_tail = len(self._v_tail_fp)
+        n_tail = self._n_tail
         if n_tail:
-            tail = np.array(self._v_tail_fp)
-            out += probs[:, n_quantized:] @ tail
+            out += probs[:, n_quantized:] @ self._v_tail[:n_tail]
             self.ledger.fp_matmul_flops += costs.matmul_flops(1, n_tail, d)
 
         self.ledger.int_matmul_flops += costs.matmul_flops(1, d, length)
@@ -420,58 +497,45 @@ class HackKVCache(_BaseKVCache):
         return out[0]
 
     def _k_transposed(self) -> QuantizedTensor:
-        """Assemble the ``Kᵀ`` operand for Eq. 4 from per-token storage."""
-        codes = np.array(self._k_codes).T          # (d, L)
-        mins = np.array(self._k_mins).T            # (P_k, L)
-        scales = np.array(self._k_scales).T
-        sums = np.array(self._k_sums).T if self.enable_se and self._k_sums else None
-        return QuantizedTensor(codes=codes, mins=mins, scales=scales,
-                               bits=self.kv_bits, axis=0,
-                               partition_size=self.partition_size, _sums=sums)
+        """The ``Kᵀ`` operand for Eq. 4: views of the stored columns."""
+        return QuantizedTensor(
+            codes=self._kt_codes.live(), mins=self._kt_mins.live(),
+            scales=self._kt_scales.live(), bits=self.kv_bits, axis=0,
+            partition_size=self.partition_size,
+            _sums=None if self._kt_sums is None else self._kt_sums.live())
 
-    def _v_quantized(self) -> QuantizedTensor:
-        """Assemble the quantized-V operand (full blocks + ragged tail)."""
-        blocks = list(self._v_blocks)
-        if self._v_tail_q is not None:
-            blocks.append(self._v_tail_q)
-        codes = np.concatenate([b.codes for b in blocks], axis=0)
-        mins = np.stack([row for b in blocks for row in b.mins], axis=0)
-        scales = np.stack([row for b in blocks for row in b.scales], axis=0)
-        sums = None
-        if self.enable_se and all(b._sums is not None for b in blocks):
-            sums = np.concatenate([b._sums for b in blocks], axis=0)
-        return QuantizedTensor(codes=codes, mins=mins, scales=scales,
-                               bits=self.kv_bits, axis=0,
-                               partition_size=self.partition_size, _sums=sums)
+    def _v_quantized(self, first_block: int = 0) -> QuantizedTensor:
+        """The quantized-V operand (full blocks + any requantized partial
+        block) from ``first_block`` on: views of the stored rows."""
+        return QuantizedTensor(
+            codes=self._v_codes.live(first_block * self.partition_size),
+            mins=self._v_mins.live(first_block),
+            scales=self._v_scales.live(first_block), bits=self.kv_bits,
+            axis=0, partition_size=self.partition_size,
+            _sums=None if self._v_sums is None
+            else self._v_sums.live(first_block))
 
     # -- inspection & accounting -------------------------------------------
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (K̂, V̂): dequantized codes plus the exact FP tail."""
-        bounds = partition_bounds(self.head_dim, self.partition_size)
-        k_hat = np.empty((len(self._k_codes), self.head_dim))
-        for t, (codes, mins, scales) in enumerate(
-            zip(self._k_codes, self._k_mins, self._k_scales)
-        ):
-            for p, (lo, hi) in enumerate(bounds):
-                k_hat[t, lo:hi] = codes[lo:hi].astype(np.float64) * scales[p] + mins[p]
-        parts = [dequantize(b) for b in self._v_blocks]
-        if self._v_tail_q is not None:
-            parts.append(dequantize(self._v_tail_q))
-        if self._v_tail_fp:
-            parts.append(np.array(self._v_tail_fp))
-        v_hat = np.concatenate(parts, axis=0) if parts else np.zeros((0, self.head_dim))
+        k_hat = np.ascontiguousarray(dequantize(self._k_transposed()).T)
+        v_hat = np.concatenate([dequantize(self._v_quantized()),
+                                self._v_tail[:self._n_tail]], axis=0)
         return k_hat, v_hat
 
     def kv_nbytes(self) -> int:
         """Bytes for packed codes plus FP16 min/scale metadata."""
-        n_tokens_k = len(self._k_codes)
-        n_parts_k = len(self._k_mins[0]) if self._k_mins else 0
-        k_bytes = packed_nbytes(n_tokens_k * self.head_dim, self.kv_bits)
-        k_bytes += 2 * n_tokens_k * n_parts_k * _FP16_BYTES
-        v_bytes = sum(b.code_nbytes() + b.metadata_nbytes() for b in self._v_blocks)
-        if self._v_tail_q is not None:
-            v_bytes += self._v_tail_q.code_nbytes() + self._v_tail_q.metadata_nbytes()
+        d = self.head_dim
+        k_bytes = packed_nbytes(self._length * d, self.kv_bits)
+        k_bytes += 2 * self._kt_mins.live().size * _FP16_BYTES
+        # Each V block, and a requantized partial block, packs separately.
+        block_bytes = packed_nbytes(self.partition_size * d, self.kv_bits)
+        v_bytes = self._n_blocks * (block_bytes + 2 * d * _FP16_BYTES)
+        n_partial = self._v_codes.n - self._n_blocks * self.partition_size
+        if n_partial:
+            v_bytes += packed_nbytes(n_partial * d, self.kv_bits)
+            v_bytes += 2 * d * _FP16_BYTES
         return k_bytes + v_bytes
 
     def sums_nbytes(self) -> int:
@@ -479,13 +543,13 @@ class HackKVCache(_BaseKVCache):
         if not self.enable_se:
             return 0
         width = sum_storage_bits(self.kv_bits, self.partition_size) // 8
-        n_k = sum(s.size for s in self._k_sums)
-        n_v = sum(b.mins.size for b in self._v_blocks)
+        n_k = self._kt_sums.live().size
+        n_v = self._n_blocks * self.head_dim
         return (n_k + n_v) * width
 
     def fp16_tail_nbytes(self) -> int:
         """Bytes of the RQE FP16 buffer (§7.4 reports 0.24–0.51%)."""
-        return len(self._v_tail_fp) * self.head_dim * _FP16_BYTES
+        return self._n_tail * self.head_dim * _FP16_BYTES
 
     def total_nbytes(self) -> int:
         """Full cache footprint: codes, metadata, SE sums, RQE tail."""

@@ -129,8 +129,8 @@ class QuantizedTensor:
         """
         if cached and self._sums is not None:
             return self._sums
-        sums = _partition_reduce(self.codes.astype(np.int64), self.axis,
-                                 self.bounds(), np.add.reduce)
+        sums = _partition_reduce(self.codes, self.axis, self.partition_size,
+                                 np.add, dtype=np.int64)
         if cached:
             self._sums = sums
         return sums
@@ -201,34 +201,28 @@ def quantize(
         raise ValueError(f"bits must be in [1, 8], got {bits}")
     if rounding not in ("stochastic", "nearest"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
+    if partition_size <= 0:
+        raise ValueError(f"partition_size must be positive, got {partition_size}")
 
-    bounds = partition_bounds(x.shape[axis], partition_size)
     levels = (1 << bits) - 1
-
-    mins = _partition_reduce(x, axis, bounds, np.minimum.reduce)
-    maxs = _partition_reduce(x, axis, bounds, np.maximum.reduce)
+    mins = _partition_reduce(x, axis, partition_size, np.minimum)
+    maxs = _partition_reduce(x, axis, partition_size, np.maximum)
     scales = (maxs - mins) / levels
     # Constant partitions quantize to code 0 and dequantize to `min`
     # exactly; dividing by 1 instead of 0 keeps the arithmetic finite.
     safe_scales = np.where(scales == 0.0, 1.0, scales)
 
     codes = np.empty(x.shape, dtype=np.uint8)
-    for p, (lo, hi) in enumerate(bounds):
-        if axis == 1:
-            block = x[:, lo:hi]
-            normalized = (block - mins[:, p, None]) / safe_scales[:, p, None]
-        else:
-            block = x[lo:hi, :]
-            normalized = (block - mins[None, p, :]) / safe_scales[None, p, :]
+    for lo, n, width in _batches(x.shape, axis, partition_size):
+        normalized = _view(x, axis, lo, n, width) - _meta_view(
+            mins, axis, lo // partition_size, n)
+        normalized /= _meta_view(safe_scales, axis, lo // partition_size, n)
         if rounding == "stochastic":
             rounded = stochastic_round(normalized, rng)
         else:
             rounded = nearest_round(normalized)
-        rounded = np.clip(rounded, 0, levels)
-        if axis == 1:
-            codes[:, lo:hi] = rounded.astype(np.uint8)
-        else:
-            codes[lo:hi, :] = rounded.astype(np.uint8)
+        _view(codes, axis, lo, n, width)[...] = np.clip(rounded, 0, levels,
+                                                        out=rounded)
 
     return QuantizedTensor(
         codes=codes,
@@ -248,23 +242,64 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     and as the per-iteration cost the comparator methods pay.
     """
     out = np.empty(qt.codes.shape, dtype=np.float64)
-    codes = qt.codes.astype(np.float64)
-    for p, (lo, hi) in enumerate(qt.bounds()):
-        if qt.axis == 1:
-            out[:, lo:hi] = (
-                codes[:, lo:hi] * qt.scales[:, p, None] + qt.mins[:, p, None]
-            )
-        else:
-            out[lo:hi, :] = (
-                codes[lo:hi, :] * qt.scales[None, p, :] + qt.mins[None, p, :]
-            )
+    for lo, n, width in _batches(qt.codes.shape, qt.axis, qt.partition_size):
+        p = lo // qt.partition_size
+        dst = _view(out, qt.axis, lo, n, width)
+        np.multiply(_view(qt.codes, qt.axis, lo, n, width),
+                    _meta_view(qt.scales, qt.axis, p, n), out=dst)
+        dst += _meta_view(qt.mins, qt.axis, p, n)
     return out
 
 
-def _partition_reduce(x, axis, bounds, reducer):
-    """Apply ``reducer`` within each partition along ``axis``."""
-    pieces = []
-    for lo, hi in bounds:
-        block = x[:, lo:hi] if axis == 1 else x[lo:hi, :]
-        pieces.append(reducer(block, axis=axis))
-    return np.stack(pieces, axis=axis)
+#: Upper bound on the elements one batch of partitions spans (unless a
+#: single partition is larger), which bounds the temporaries of
+#: :func:`quantize` and :func:`dequantize` on large matrices.
+_BATCH_ELEMENTS = 1 << 16
+
+
+def _batches(shape: tuple[int, int], axis: int, partition_size: int):
+    """Runs of equal-width partitions along ``axis``, in partition order.
+
+    Yields ``(start, count, width)``: the full partitions in runs of up
+    to :data:`_BATCH_ELEMENTS` elements, then any ragged tail as a run
+    of one.  A decode-sized matrix is a single run.
+    """
+    n_full, tail = divmod(shape[axis], partition_size)
+    per_partition = partition_size * shape[1 - axis]
+    step = max(1, _BATCH_ELEMENTS // max(1, per_partition))
+    for p in range(0, n_full, step):
+        yield p * partition_size, min(step, n_full - p), partition_size
+    if tail:
+        yield n_full * partition_size, 1, tail
+
+
+def _view(a: np.ndarray, axis: int, start: int, count: int,
+          width: int) -> np.ndarray:
+    """``count`` partitions of ``width`` from ``start``, partition-major.
+
+    Shape ``(count, rows, width)`` for ``axis=1`` and ``(count, width,
+    cols)`` for ``axis=0``.  Its C order is the order in which a loop
+    over the partitions visits the elements, so one stochastic draw per
+    run consumes the generator exactly as one draw per partition does.
+    The view is writable when ``a`` is C-contiguous.
+    """
+    stop = start + count * width
+    if axis == 1:
+        return a[:, start:stop].reshape(a.shape[0], count, width).transpose(1, 0, 2)
+    return a[start:stop].reshape(count, width, a.shape[1])
+
+
+def _meta_view(meta: np.ndarray, axis: int, first: int,
+               count: int) -> np.ndarray:
+    """Partitions ``first…first+count`` of ``meta``, broadcastable
+    against the matching :func:`_view`."""
+    if axis == 1:
+        return meta[:, first:first + count].T[:, :, None]
+    return meta[first:first + count, None, :]
+
+
+def _partition_reduce(x: np.ndarray, axis: int, partition_size: int,
+                      ufunc: np.ufunc, dtype=None) -> np.ndarray:
+    """Reduce ``x`` with ``ufunc`` within each partition along ``axis``."""
+    starts = np.arange(0, x.shape[axis], partition_size)
+    return ufunc.reduceat(x, starts, axis=axis, dtype=dtype)

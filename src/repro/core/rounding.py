@@ -51,9 +51,9 @@ def stochastic_round(
         rng = make_rng()
     x = np.asarray(x, dtype=np.float64)
     low = np.floor(x)
-    frac = x - low
-    draws = rng.random(size=x.shape)
-    return low + (draws < frac)
+    # In place, so a large input costs one full-size temporary fewer.
+    low += rng.random(size=x.shape) < x - low
+    return low
 
 
 def nearest_round(x: np.ndarray) -> np.ndarray:

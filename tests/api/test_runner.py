@@ -1,8 +1,14 @@
 """Runner execution: resolution fidelity, parallel == serial, artifacts."""
 
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import Runner, RunArtifact, Scenario, Sweep, compare_artifacts
+from repro.api import runner as runner_module
 from repro.api.runner import resolve
 from repro.methods import get_method
 from repro.model import get_model
@@ -194,3 +200,46 @@ class TestRunMethodsEquivalence:
         tweaked = dataclasses.replace(get_model("L"), max_context=4096)
         with pytest.raises(ValueError, match="registry"):
             run_methods(("baseline",), model=tweaked, n_requests=10)
+
+
+def _strict_json(text: str):
+    """Parse ``text``, rejecting the non-standard NaN/Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def zero_clock(monkeypatch):
+    """A clock that never advances: every measured wall time is 0."""
+    monkeypatch.setattr(runner_module, "time",
+                        SimpleNamespace(perf_counter=lambda: 1.0))
+
+
+class TestPerfRecordJson:
+    def test_zero_wall_perf_record_is_standard_json(self, zero_clock):
+        resolved = resolve(SMALL.replace(methods=("hack",)))
+        _, perf = runner_module._timed_simulate(resolved.configs["hack"],
+                                                list(resolved.trace))
+        assert perf["wall_s"] == 0.0
+        assert perf["simulated_tokens"] > 0
+        assert perf["tokens_per_s"] == 0.0
+        assert _strict_json(json.dumps(perf, allow_nan=False)) == perf
+
+    @pytest.mark.parametrize("clock", ["real", "zero"])
+    def test_sim_throughput_bench_json_is_standard(self, clock, request,
+                                                   tmp_path):
+        if clock == "zero":
+            request.getfixturevalue("zero_clock")
+        script = (Path(__file__).resolve().parents[2] / "benchmarks"
+                  / "bench_sim_throughput.py")
+        spec = importlib.util.spec_from_file_location("bench_sim_throughput",
+                                                      script)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        out = tmp_path / "bench.json"
+        assert bench.main(["--scale", "0.02", "--methods", "baseline,hack",
+                           "--bench-json", str(out)]) == 0
+        record = _strict_json(out.read_text())
+        assert set(record["methods"]) == {"baseline", "hack"}
+        assert "lint_runtime" not in record

@@ -231,7 +231,7 @@ class TestHackKVCacheFunctional:
             assert out.shape == (D,)
             cache.append(rng.normal(size=D), rng.normal(size=D))
         assert len(cache) == 2 * PI + 3
-        assert len(cache._v_blocks) == 2
+        assert cache._n_blocks == 2
 
     def test_empty_attention_rejected(self):
         cache = HackKVCache(D)
@@ -325,8 +325,8 @@ def test_cache_length_invariant(n_tokens, pi):
     cache = HackKVCache(D, partition_size=pi, rng=make_rng(0))
     cache.append_bulk(k, v)
     assert len(cache) == n_tokens
-    n_blocks = len(cache._v_blocks)
-    n_tail = len(cache._v_tail_fp)
+    n_blocks = cache._n_blocks
+    n_tail = cache._n_tail
     assert n_blocks * pi + n_tail == n_tokens
     assert n_tail < pi
     k_hat, v_hat = cache.materialize()

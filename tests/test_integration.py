@@ -41,7 +41,7 @@ class TestPrefillToDecodeHandoff:
         k_hat_sent, v_hat_sent = sender.materialize()
 
         # The wire carries packed 2-bit codes; round-trip one block.
-        codes = sender._v_blocks[0].codes
+        codes = sender._v_quantized().codes[:16]
         packed = pack_codes(codes, 2)
         unpacked = unpack_codes(packed, codes.size, 2).reshape(codes.shape)
         np.testing.assert_array_equal(unpacked, codes)
