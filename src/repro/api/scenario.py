@@ -28,53 +28,11 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from ..kvstore.selection import (
-    SelectionSpec,
-    canonical_selection,
-    has_selection_policy,
-)
-from ..kvstore.spec import (
-    KVStoreSpec,
-    canonical_kvstore,
-    has_kvstore_families,
-)
-from ..methods import (
-    MethodSpec,
-    canonical_method,
-    has_registered_family,
-    split_method_list,
-)
+from ..methods import MethodSpec
 from ..model.config import ModelSpec
-from ..sim.elastic import (
-    AdmissionSpec,
-    AutoscalerSpec,
-    canonical_admission,
-    canonical_autoscaler,
-    has_admission_policy,
-    has_autoscaler_policy,
-)
-from ..sim.faults import (
-    FaultPlan,
-    FaultSpec,
-    canonical_faults,
-    has_fault_families,
-)
-from ..sim.recovery import (
-    RecoverySpec,
-    canonical_recovery,
-    has_recovery_policy,
-)
-from ..sim.scheduling import (
-    SchedulerSpec,
-    canonical_scheduler,
-    has_scheduler_policies,
-)
-from ..workload.arrivals import (
-    ArrivalSpec,
-    canonical_arrival,
-    has_arrival_process,
-)
+from ..spec import split_list
 from ..workload.datasets import get_dataset
+from .fields import FIELDS_BY_NAME, SPEC_FIELDS
 
 __all__ = ["Scenario", "model_dataset", "DEFAULT_LOAD_FACTOR", "DEFAULT_SEED",
            "DEFAULT_N_REQUESTS", "MAX_AUTO_REQUESTS"]
@@ -87,23 +45,11 @@ DEFAULT_SEED = 1
 DEFAULT_N_REQUESTS = 120
 MAX_AUTO_REQUESTS = 600
 
-
-def _canonical_or_verbatim(method) -> str:
-    """Canonicalize a method reference, keeping *unknown-family*
-    strings verbatim.
-
-    A Scenario is pure description: artifacts referencing a method
-    family that is not registered in the current process (a custom
-    family from another script) must still load, render and diff — only
-    *running* them requires resolution, and the runner raises the same
-    "unknown method" error at that point.  Everything else validates
-    here: a malformed spec of a *registered* family (typo'd parameter,
-    bad value) is a constructor error, and non-string references
-    (MethodSpec objects, dicts) cannot exist without their family.
-    """
-    if isinstance(method, str) and not has_registered_family(method):
-        return method.strip()
-    return canonical_method(method)
+_METHODS_FIELD = FIELDS_BY_NAME["methods"]
+#: Every spec-valued field except the required ``methods``.
+_OPTIONAL_SPEC_FIELDS = tuple(f for f in SPEC_FIELDS
+                              if f is not _METHODS_FIELD)
+_OPTIONAL_NAMES = tuple(f.name for f in _OPTIONAL_SPEC_FIELDS)
 
 
 def model_dataset(model: ModelSpec, dataset_name: str) -> tuple[str, int | None]:
@@ -206,11 +152,11 @@ class Scenario:
         # so pre-spec scenarios serialize and slug exactly as before).
         methods = self.methods
         if isinstance(methods, str):
-            methods = split_method_list(methods)
+            methods = split_list(methods)
         elif isinstance(methods, (MethodSpec, dict)):
             methods = (methods,)
-        object.__setattr__(self, "methods",
-                           tuple(_canonical_or_verbatim(m) for m in methods))
+        object.__setattr__(self, "methods", tuple(
+            _METHODS_FIELD.canonical(m) for m in methods))
         if not self.methods:
             raise ValueError("scenario needs at least one method")
         if self.calibration is not None:
@@ -227,85 +173,13 @@ class Scenario:
                 f"step_mode must be 'span', 'token' or None, got "
                 f"{self.step_mode!r}"
             )
-        if self.arrival is not None:
-            # Same tolerance as methods: an unknown-family string stays
-            # verbatim so artifacts referencing a custom arrival process
-            # still load; running them raises at resolution.
-            arrival = self.arrival
-            if isinstance(arrival, ArrivalSpec) \
-                    or not isinstance(arrival, str) \
-                    or has_arrival_process(arrival):
-                arrival = canonical_arrival(arrival)
-            else:
-                arrival = arrival.strip()
-            object.__setattr__(self, "arrival", arrival)
-        if self.scheduler is not None:
-            # Same tolerance again: keep unknown-policy strings
-            # verbatim so artifacts referencing a custom policy still
-            # load; running them raises at resolution.
-            scheduler = self.scheduler
-            if isinstance(scheduler, SchedulerSpec) \
-                    or not isinstance(scheduler, str) \
-                    or has_scheduler_policies(scheduler):
-                scheduler = canonical_scheduler(scheduler)
-            else:
-                scheduler = scheduler.strip()
-            object.__setattr__(self, "scheduler", scheduler)
-        if self.kvstore is not None:
-            # Unknown-family tolerance, as for methods/arrival/scheduler.
-            kvstore = self.kvstore
-            if isinstance(kvstore, KVStoreSpec) \
-                    or not isinstance(kvstore, str) \
-                    or has_kvstore_families(kvstore):
-                kvstore = canonical_kvstore(kvstore)
-            else:
-                kvstore = kvstore.strip()
-            object.__setattr__(self, "kvstore", kvstore)
-        if self.selection is not None:
-            selection = self.selection
-            if isinstance(selection, SelectionSpec) \
-                    or not isinstance(selection, str) \
-                    or has_selection_policy(selection):
-                selection = canonical_selection(selection)
-            else:
-                selection = selection.strip()
-            object.__setattr__(self, "selection", selection)
-        if self.faults is not None:
-            faults = self.faults
-            if isinstance(faults, (FaultPlan, FaultSpec)) \
-                    or not isinstance(faults, str) \
-                    or has_fault_families(faults):
-                faults = canonical_faults(faults)
-            else:
-                faults = faults.strip()
-            object.__setattr__(self, "faults", faults)
-        if self.recovery is not None:
-            recovery = self.recovery
-            if isinstance(recovery, RecoverySpec) \
-                    or not isinstance(recovery, str) \
-                    or has_recovery_policy(recovery):
-                recovery = canonical_recovery(recovery)
-            else:
-                recovery = recovery.strip()
-            object.__setattr__(self, "recovery", recovery)
-        if self.autoscaler is not None:
-            autoscaler = self.autoscaler
-            if isinstance(autoscaler, AutoscalerSpec) \
-                    or not isinstance(autoscaler, str) \
-                    or has_autoscaler_policy(autoscaler):
-                autoscaler = canonical_autoscaler(autoscaler)
-            else:
-                autoscaler = autoscaler.strip()
-            object.__setattr__(self, "autoscaler", autoscaler)
-        if self.admission is not None:
-            admission = self.admission
-            if isinstance(admission, AdmissionSpec) \
-                    or not isinstance(admission, str) \
-                    or has_admission_policy(admission):
-                admission = canonical_admission(admission)
-            else:
-                admission = admission.strip()
-            object.__setattr__(self, "admission", admission)
+        # The other spec fields are optional: None keeps the historical
+        # behaviour, anything else canonicalizes (see SpecField).
+        for spec_field in _OPTIONAL_SPEC_FIELDS:
+            value = getattr(self, spec_field.name)
+            if value is not None:
+                object.__setattr__(self, spec_field.name,
+                                   spec_field.canonical(value))
 
     # -- derived views --------------------------------------------------------
 
@@ -342,9 +216,7 @@ class Scenario:
         out["methods"] = list(self.methods)
         out["calibration"] = (dict(self.calibration)
                               if self.calibration else None)
-        for optional in ("step_mode", "arrival", "scheduler", "kvstore",
-                         "selection", "faults", "recovery", "autoscaler",
-                         "admission"):
+        for optional in ("step_mode", *_OPTIONAL_NAMES):
             if out[optional] is None:
                 del out[optional]
         return out
@@ -396,9 +268,8 @@ class Scenario:
                 f"methods={','.join(self.methods)}"]
         for fname in ("rps", "load_factor", "n_requests", "seed", "scale",
                       "n_prefill_replicas", "n_decode_replicas",
-                      "activation_overhead", "step_mode", "arrival",
-                      "scheduler", "kvstore", "selection", "faults",
-                      "recovery", "autoscaler", "admission"):
+                      "activation_overhead", "step_mode",
+                      *_OPTIONAL_NAMES):
             value = getattr(self, fname)
             if value is not None and (fname != "scale" or value != 1.0):
                 bits.append(f"{fname}={value}")

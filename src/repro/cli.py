@@ -57,20 +57,12 @@ from .experiments import (
     table6_accuracy,
     table8_sensitivity,
 )
-from .kvstore.selection import selection_policies, split_selection_list
+from .api.fields import FIELDS_BY_NAME, SPEC_FIELDS
 from .lint.cli import add_lint_arguments, run_from_args as \
     run_lint_from_args
-from .kvstore.spec import eviction_policies, kvstore_families, \
-    split_kvstore_list
-from .methods import METHODS, method_families, split_method_list
+from .methods import METHODS
 from .model.config import MODEL_LETTERS as MODEL_REGISTRY
-from .sim.elastic import admission_policies, autoscaler_policies, \
-    split_admission_list, split_autoscaler_list
-from .sim.faults import fault_families, split_faults_list
-from .sim.recovery import recovery_policies, split_recovery_list
-from .sim.scheduling import dispatch_policies, placement_policies, \
-    split_scheduler_list
-from .workload.arrivals import arrival_processes, split_arrival_list
+from .spec import split_list
 from .workload.datasets import DATASETS as DATASET_REGISTRY
 
 __all__ = ["main", "EXPERIMENTS", "build_parser"]
@@ -274,7 +266,6 @@ def _scenario_from_args(args, scale: float) -> Scenario:
         calibration = tuple(pairs)
     return Scenario(
         model=args.model,
-        methods=args.methods,
         dataset=args.dataset,
         prefill_gpu=args.prefill_gpu,
         decode_gpu=args.decode_gpu,
@@ -288,15 +279,8 @@ def _scenario_from_args(args, scale: float) -> Scenario:
         n_decode_replicas=args.n_decode_replicas,
         activation_overhead=args.activation_overhead,
         step_mode=args.step_mode,
-        arrival=args.arrival,
-        scheduler=args.scheduler,
-        kvstore=args.kvstore,
-        selection=args.selection,
-        faults=args.faults,
-        recovery=args.recovery,
-        autoscaler=args.autoscaler,
-        admission=args.admission,
         calibration=calibration,
+        **{f.name: getattr(args, f.name) for f in SPEC_FIELDS},
     )
 
 
@@ -305,41 +289,17 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
     field, sep, raw = spec.partition("=")
     if not sep or not raw:
         raise SystemExit(f"--axis expects FIELD=V1,V2,…  got {spec!r}")
+    spec_field = FIELDS_BY_NAME.get(field)
+    if spec_field is None:
+        return field, tuple(_coerce(token) for token in raw.split(","))
+    # split_list keeps spec parameters attached, so a value like
+    # "poisson,mmpp?burst=4,duty=0.1" is two axis values, not three.
+    values = split_list(raw)
     if field == "methods":
-        # split_method_list keeps spec parameters attached, so a value
-        # like "baseline+hack?pi=128,bits=4" stays one method set.
-        return field, tuple(tuple(v.split("+"))
-                            for v in split_method_list(raw))
-    if field == "arrival":
-        # likewise for arrival specs: "poisson,mmpp?burst=4,duty=0.1"
-        # is two axis values, not three.
-        return field, tuple(split_arrival_list(raw))
-    if field == "scheduler":
-        # and for scheduler pairs: "splitwise,random?seed=3+no_swap"
-        # is two axis values.
-        return field, tuple(split_scheduler_list(raw))
-    if field == "kvstore":
-        # and for store specs: "tiered?dram_gb=4.0,hbm_gb=2.0+lfu,lru"
-        # is two axis values.
-        return field, tuple(split_kvstore_list(raw))
-    if field == "selection":
-        return field, tuple(split_selection_list(raw))
-    if field == "faults":
-        # fault plans: "none,replica_crash?mttf=600,mttr=30+nic_degrade"
-        # is two axis values ("none" maps to no faults).
-        return field, tuple(None if v == "none" else v
-                            for v in split_faults_list(raw))
-    if field == "recovery":
-        return field, tuple(split_recovery_list(raw))
-    if field == "autoscaler":
-        # autoscaler specs: "static,reactive?queue_hi=6,queue_lo=1" is
-        # two axis values ("none" maps to no autoscaler).
-        return field, tuple(None if v == "none" else v
-                            for v in split_autoscaler_list(raw))
-    if field == "admission":
-        return field, tuple(None if v == "none" else v
-                            for v in split_admission_list(raw))
-    return field, tuple(_coerce(token) for token in raw.split(","))
+        # '+' joins a method set: "baseline+hack?pi=128,bits=4".
+        return field, tuple(tuple(v.split("+")) for v in values)
+    return field, tuple(None if spec_field.none_unsets and v == "none"
+                        else v for v in values)
 
 
 def _coerce(token: str):
@@ -544,88 +504,20 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    registries = [registry for spec_field in SPEC_FIELDS
+                  for registry in spec_field.registries]
     catalog = {
         "experiments": {n: s.description for n, s in EXPERIMENTS.items()},
         "models": sorted(MODEL_REGISTRY),
         "datasets": sorted(DATASET_REGISTRY),
         "methods": sorted(METHODS),
-        "method_families": {
-            name: {"description": fam.description,
-                   "signature": fam.signature(),
+        **{registry.key: {
+            name: {"description": family.description,
+                   "signature": family.signature(),
                    "params": {p: pd.default
-                              for p, pd in fam.params.items()}}
-            for name, fam in method_families().items()
-        },
-        "arrival_processes": {
-            name: {"description": fam.description,
-                   "signature": fam.signature(),
-                   "params": {p: pd.default
-                              for p, pd in fam.params.items()}}
-            for name, fam in arrival_processes().items()
-        },
-        "dispatch_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in dispatch_policies().items()
-        },
-        "placement_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in placement_policies().items()
-        },
-        "kvstore_families": {
-            name: {"description": fam.description,
-                   "signature": fam.signature(),
-                   "params": {p: pd.default
-                              for p, pd in fam.params.items()}}
-            for name, fam in kvstore_families().items()
-        },
-        "eviction_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in eviction_policies().items()
-        },
-        "selection_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in selection_policies().items()
-        },
-        "fault_families": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in fault_families().items()
-        },
-        "recovery_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in recovery_policies().items()
-        },
-        "autoscaler_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in autoscaler_policies().items()
-        },
-        "admission_policies": {
-            name: {"description": cls.description,
-                   "signature": cls.signature(),
-                   "params": {p: pd.default
-                              for p, pd in cls.params.items()}}
-            for name, cls in admission_policies().items()
-        },
+                              for p, pd in family.params.items()}}
+            for name, family in registry.catalog().items()}
+           for registry in registries},
         "prefill_gpus": list(fig1_motivation.GPUS),
     }
     if args.json:
@@ -637,44 +529,13 @@ def _cmd_list(args) -> int:
         print(f"  {name:8s} {spec.description}{suffix}")
     for key in ("models", "datasets", "methods", "prefill_gpus"):
         print(f"{key}: {', '.join(catalog[key])}")
-    print("method families (spec grammar: family?key=val,… — defaults "
-          "shown):")
-    for name, fam in method_families().items():
-        print(f"  {fam.signature():42s} {fam.description}")
-    print("arrival processes (--arrival, same grammar — defaults shown):")
-    for name, fam in arrival_processes().items():
-        print(f"  {fam.signature():42s} {fam.description}")
-    print("scheduling policies (--scheduler dispatch[+placement], same "
-          "grammar):")
-    print(" dispatch:")
-    for name, cls in dispatch_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print(" placement:")
-    for name, cls in placement_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("KV-store families (--kvstore family?key=val+eviction, same "
-          "grammar):")
-    for name, fam in kvstore_families().items():
-        print(f"  {fam.signature():42s} {fam.description}")
-    print(" eviction:")
-    for name, cls in eviction_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("selection policies (--selection, same grammar):")
-    for name, cls in selection_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("fault families (--faults family?key=val+family…, same "
-          "grammar):")
-    for name, cls in fault_families().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("recovery policies (--recovery, same grammar):")
-    for name, cls in recovery_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("autoscaler policies (--autoscaler, same grammar):")
-    for name, cls in autoscaler_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
-    print("admission policies (--admission, same grammar):")
-    for name, cls in admission_policies().items():
-        print(f"  {cls.signature():42s} {cls.description}")
+    for spec_field in SPEC_FIELDS:
+        print(f"{spec_field.heading}:")
+        for registry in spec_field.registries:
+            if len(spec_field.registries) > 1:
+                print(f" {registry.role}:")
+            for family in registry.catalog().values():
+                print(f"  {family.signature():42s} {family.description}")
     return 0
 
 

@@ -28,12 +28,11 @@ memory), which is where HACK's bottleneck lives.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
 
 from ..methods.base import Method
 from ..methods.spec import resolve_method
+from ..spec import Param, Policy, Registry, Spec, split_list
 
 __all__ = [
     "SelectionParam",
@@ -49,19 +48,12 @@ __all__ = [
     "split_selection_list",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+#: A policy parameter: the shared :class:`~repro.spec.Param` (a float,
+#: or a word-safe string — typically a method reference).
+SelectionParam = Param
 
 
-@dataclass(frozen=True)
-class SelectionParam:
-    """One policy parameter: the default fixes the type (float, or a
-    word-safe string — typically a method reference)."""
-
-    default: object
-    doc: str = ""
-
-
-class CompressionSelectionPolicy:
+class CompressionSelectionPolicy(Policy):
     """Picks the compression :class:`Method` for one arriving request.
 
     Subclasses set :attr:`name`, :attr:`description`, :attr:`params`
@@ -70,250 +62,34 @@ class CompressionSelectionPolicy:
     precompute from the simulator.
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`SelectionParam`.
-    params: dict[str, SelectionParam] = {}
-
-    def __init__(self, **params) -> None:
-        self.p = params
-
-    def bind(self, sim) -> None:
-        """Called once before the simulation starts."""
-
     def choose(self, now: float, req, sim) -> Method:
         """The method for ``req`` (``req.trace`` carries ``slo_tier``;
         ``sim`` exposes ``method``, ``kvstore``, ``_prefill``…)."""
         raise NotImplementedError
 
-    @classmethod
-    def validate(cls, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
+_SELECTIONS = Registry("selection policy", CompressionSelectionPolicy,
+                       role="selection", key="selection_policies")
+register_selection = _SELECTIONS.register
+get_selection_policy = _SELECTIONS.get
+selection_policies = _SELECTIONS.catalog
+has_selection_policy = _SELECTIONS.has
 
-
-_SELECTIONS: dict[str, type] = {}
-
-
-def register_selection(cls=None, *, replace: bool = False):
-    """Class decorator registering a selection-policy family."""
-
-    def decorator(obj):
-        if not (isinstance(obj, type)
-                and issubclass(obj, CompressionSelectionPolicy)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "CompressionSelectionPolicy"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"selection policy name {obj.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if obj.name in _SELECTIONS and not replace:
-            raise ValueError(
-                f"selection policy {obj.name!r} is already registered; "
-                "pass register_selection(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            ok_float = isinstance(pd.default, (int, float)) \
-                and not isinstance(pd.default, bool)
-            ok_str = isinstance(pd.default, str) and pd.default
-            if not (ok_float or ok_str):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number or a "
-                    f"non-empty string, got {pd.default!r}"
-                )
-        _SELECTIONS[obj.name] = obj
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_selection_policy(name: str) -> type:
-    """Look up a selection family, with typo suggestions."""
-    try:
-        return _SELECTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown selection policy {name!r}"
-            f"{_suggest(name, _SELECTIONS)}"
-        ) from None
-
-
-def selection_policies() -> dict[str, type]:
-    """All registered families (a copy, registration order)."""
-    return dict(_SELECTIONS)
-
-
-def has_selection_policy(reference: str) -> bool:
-    """True when a string selection reference names a family registered
-    in this process (parameters may still be invalid)."""
-    return reference.strip().partition("?")[0].strip() in _SELECTIONS
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-def _coerce(kind: str, name: str, pd: SelectionParam, value):
-    where = f"parameter {name!r} of selection policy {kind!r}"
-    if isinstance(pd.default, str):
-        if not isinstance(value, str):
-            raise ValueError(f"{where} expects a string, got {value!r}")
-        if not value or any(c in value for c in ",=?+ "):
-            raise ValueError(
-                f"{where} string values must be non-empty and free of "
-                f"',', '=', '?', '+' and spaces; got {value!r}"
-            )
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{where} expects a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{where} expects a number, got {value!r}"
-        ) from None
-
-
-# -- the spec -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SelectionSpec:
-    """A declarative selection-policy reference: family + parameters.
-
-    ``params`` holds only the parameters given explicitly, coerced to
-    the family's declared types and sorted; an explicitly-given default
-    is kept (``congestion?hi=0.75`` stays distinct from
-    ``congestion``).
-    """
+class SelectionSpec(Spec):
+    """A declarative selection-policy reference: family + parameters."""
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_selection_policy(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, object] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"selection policy {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for selection policy "
-                    f"{self.kind!r}"
-                )
-            normalized[key] = _coerce(self.kind, key, family.params[key],
-                                      value)
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "SelectionSpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_selection_policy(self.kind)
-        out = {name: pd.default for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> CompressionSelectionPolicy:
-        """A fresh policy instance (policies may hold per-run state)."""
-        return get_selection_policy(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``congestion?hi=0.75,lo=0.5``."""
-        if not self.params:
-            return self.kind
-        parts = []
-        for k, v in self.params:
-            parts.append(f"{k}={v!r}" if isinstance(v, float)
-                         else f"{k}={v}")
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+    registry = _SELECTIONS
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_selection(text: str) -> SelectionSpec:
-    """Parse ``family[?key=value,…]`` into a :class:`SelectionSpec`."""
-    text = text.strip()
-    kind, sep, rest = text.partition("?")
-    kind = kind.strip()
-    if kind not in _SELECTIONS:
-        raise ValueError(
-            f"unknown selection policy {kind!r}{_suggest(kind, _SELECTIONS)}"
-        )
-    if not sep:
-        return SelectionSpec(kind)
-    pairs = []
-    for item in rest.split(","):
-        key, eq, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key or not value:
-            raise ValueError(
-                f"bad selection parameter {item!r} in {text!r}; the "
-                "grammar is family?key=value,key=value"
-            )
-        pairs.append((key, value))
-    return SelectionSpec(kind, tuple(pairs))
-
-
-def selection_spec(reference) -> SelectionSpec:
-    """The :class:`SelectionSpec` behind any selection reference: a
-    spec or a grammar string."""
-    if isinstance(reference, SelectionSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_selection(reference)
-    raise TypeError(
-        f"expected a SelectionSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_selection(reference) -> str:
-    """The canonical string form of a selection reference."""
-    return selection_spec(reference).canonical()
-
-
-def split_selection_list(text: str) -> list[str]:
-    """Split a comma-separated selection list, keeping spec parameters
-    attached: ``"static,congestion?hi=0.8,lo=0.4"`` →
-    ``["static", "congestion?hi=0.8,lo=0.4"]``."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token and "?" in parts[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+selection_spec = SelectionSpec.from_reference
+parse_selection = SelectionSpec.parse
+canonical_selection = SelectionSpec.canonical_of
+split_selection_list = split_list
 
 
 def _check_method_ref(kind: str, name: str, value: str) -> None:

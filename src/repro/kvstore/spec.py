@@ -26,9 +26,10 @@ the three-tier GPU HBM → host DRAM → pooled-store hierarchy.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
+
+from ..spec import Family, Param, Policy, Registry, Spec, names_all, \
+    parse_clause, share_namespace, split_list, split_plus
 
 __all__ = [
     "TierParam",
@@ -52,26 +53,16 @@ __all__ = [
     "DEFAULT_EVICTION",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 #: Defaults when a part is omitted from the grammar.
 DEFAULT_STORE = "tiered"
 DEFAULT_EVICTION = "lru"
 
-
-@dataclass(frozen=True)
-class EvictionParam:
-    """One eviction-family parameter: a float default plus a doc line."""
-
-    default: float
-    doc: str = ""
+#: Eviction- and store-family parameters: the shared
+#: :class:`~repro.spec.Param`.
+EvictionParam = TierParam = Param
 
 
-#: Store-family parameters share the same float-only shape.
-TierParam = EvictionParam
-
-
-class EvictionPolicy:
+class EvictionPolicy(Policy):
     """Decides which cache entry leaves a full tier.
 
     Subclasses set :attr:`name`, :attr:`description` and :attr:`params`
@@ -81,16 +72,6 @@ class EvictionPolicy:
     ``last_access_s``, ``n_hits``, ``created_s``, ``nbytes`` and a
     monotone insertion ``seq`` for deterministic tie-breaking.
     """
-
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`EvictionParam` (floats only).
-    params: dict[str, EvictionParam] = {}
-
-    def __init__(self, **params: float) -> None:
-        self.p = params
 
     def victim(self, entries, now: float):
         """The entry to push out of a full tier (``entries`` is a
@@ -102,248 +83,52 @@ class EvictionPolicy:
         (TTL-style policies override; default: never)."""
         return False
 
-    @classmethod
-    def validate(cls, **params: float) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults, e.g. ``ttl?seconds=300.0``."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default!r}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
-
-
-class KVStoreFamily:
+class KVStoreFamily(Family):
     """One cache-hierarchy shape: parameters plus a store constructor.
 
     Subclasses set :attr:`params` (capacities in GB, bandwidths in
-    GB/s — floats only, so every parameter is sweepable via
+    GB/s — floats, so every parameter is sweepable via
     ``kvstore.<param>`` axes) and implement :meth:`build`, returning a
     runtime store exposing the :class:`~repro.kvstore.store
     .TieredKVStore` interface (``lookup``/``put``/``occupancy``/
     ``stats``).
     """
 
-    name: str = "abstract"
-    description: str = ""
-    params: dict[str, TierParam] = {}
-
     def build(self, eviction: EvictionPolicy, **params: float):
         """A fresh store instance (stores hold per-run state)."""
         raise NotImplementedError
 
-    def validate(self, **params: float) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    def signature(self) -> str:
-        """Grammar template with defaults."""
-        if not self.params:
-            return self.name
-        parts = [f"{name}={pd.default!r}" for name, pd in self.params.items()]
-        return f"{self.name}?{','.join(parts)}"
+_STORES = Registry("kvstore family", KVStoreFamily, role="kvstore",
+                   key="kvstore_families", instances=True)
+_EVICTIONS = Registry("eviction policy", EvictionPolicy, role="eviction",
+                      key="eviction_policies")
+# A bare name in the pair grammar must resolve to exactly one role.
+share_namespace(_STORES, _EVICTIONS)
 
-
-_STORES: dict[str, KVStoreFamily] = {}
-_EVICTIONS: dict[str, type] = {}
-
-
-def _check_float_params(params: dict, what: str) -> None:
-    for pname, pd in params.items():
-        if not isinstance(pd.default, (int, float)) \
-                or isinstance(pd.default, bool):
-            raise ValueError(
-                f"parameter {pname!r} default of {what} must be a "
-                f"number, got {type(pd.default).__name__}"
-            )
-
-
-def _check_name(name: str, what: str) -> None:
-    if not _NAME_RE.match(name or ""):
-        raise ValueError(
-            f"{what} name {name!r} must match {_NAME_RE.pattern}"
-        )
-    # Names resolve a bare grammar part to its role, so they must be
-    # unique across *both* registries.
-    if name in _STORES or name in _EVICTIONS:
-        raise ValueError(
-            f"kvstore family {name!r} is already registered (store and "
-            "eviction names share one namespace)"
-        )
-
-
-def register_eviction(cls=None, *, replace: bool = False):
-    """Class decorator registering an :class:`EvictionPolicy` family."""
-
-    def decorator(obj):
-        if not (isinstance(obj, type) and issubclass(obj, EvictionPolicy)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "EvictionPolicy"
-            )
-        if obj.name in _EVICTIONS and replace:
-            del _EVICTIONS[obj.name]
-        _check_name(obj.name, "eviction policy")
-        _check_float_params(obj.params, f"eviction policy {obj.name!r}")
-        _EVICTIONS[obj.name] = obj
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def register_kvstore_family(cls=None, *, replace: bool = False):
-    """Class decorator registering a :class:`KVStoreFamily`."""
-
-    def decorator(obj):
-        family = obj() if isinstance(obj, type) else obj
-        if not isinstance(family, KVStoreFamily):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "KVStoreFamily"
-            )
-        if family.name in _STORES and replace:
-            del _STORES[family.name]
-        _check_name(family.name, "kvstore family")
-        _check_float_params(family.params, f"kvstore family {family.name!r}")
-        _STORES[family.name] = family
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_eviction_policy(name: str) -> type:
-    """Look up an eviction family, with typo suggestions."""
-    try:
-        return _EVICTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown eviction policy {name!r}"
-            f"{_suggest(name, [*_EVICTIONS, *_STORES])}"
-        ) from None
-
-
-def get_kvstore_family(name: str) -> KVStoreFamily:
-    """Look up a store family, with typo suggestions."""
-    try:
-        return _STORES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kvstore family {name!r}"
-            f"{_suggest(name, [*_STORES, *_EVICTIONS])}"
-        ) from None
-
-
-def eviction_policies() -> dict[str, type]:
-    """All registered eviction families (a copy, registration order)."""
-    return dict(_EVICTIONS)
-
-
-def kvstore_families() -> dict[str, KVStoreFamily]:
-    """All registered store families (a copy, registration order)."""
-    return dict(_STORES)
-
-
-def has_kvstore_families(reference: str) -> bool:
-    """True when every ``+``-part of a string kvstore reference names a
-    store or eviction family registered in this process (parameters may
-    still be invalid)."""
-    parts = [p.strip() for p in reference.strip().split("+")]
-    return all(
-        part.partition("?")[0].strip() in _STORES
-        or part.partition("?")[0].strip() in _EVICTIONS
-        for part in parts
-    ) and bool(parts)
-
-
-def _suggest(name: str, candidates) -> str:
-    candidates = list(dict.fromkeys(candidates))
-    matches = difflib.get_close_matches(name, candidates, n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
+register_eviction = _EVICTIONS.register
+register_kvstore_family = _STORES.register
+get_eviction_policy = _EVICTIONS.get
+get_kvstore_family = _STORES.get
+eviction_policies = _EVICTIONS.catalog
+kvstore_families = _STORES.catalog
 
 
 # -- the specs ----------------------------------------------------------------
 
-def _normalize_float_params(items, family_params: dict, kind: str,
-                            what: str) -> tuple:
-    normalized: dict[str, float] = {}
-    for key, value in items:
-        if key not in family_params:
-            raise ValueError(
-                f"{what} {kind!r} has no parameter {key!r}"
-                f"{_suggest(key, family_params)}"
-            )
-        if key in normalized:
-            raise ValueError(
-                f"parameter {key!r} given twice for {what} {kind!r}"
-            )
-        try:
-            normalized[key] = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"parameter {key!r} of {what} {kind!r} expects a "
-                f"number, got {value!r}"
-            ) from None
-    return tuple(sorted(normalized.items()))
-
-
 @dataclass(frozen=True)
-class EvictionSpec:
-    """One declarative eviction reference: family + parameters.
-
-    ``params`` holds only the parameters given explicitly (family
-    defaults fill the rest at build time), coerced to float and sorted;
-    an explicitly-given default is kept (``ttl?seconds=300.0`` stays
-    distinct from ``ttl``).
-    """
+class EvictionSpec(Spec):
+    """One declarative eviction reference: family + parameters."""
 
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_eviction_policy(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        object.__setattr__(
-            self, "params",
-            _normalize_float_params(items, family.params, self.kind,
-                                    "eviction policy"))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "EvictionSpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_eviction_policy(self.kind)
-        out = {name: float(pd.default) for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> EvictionPolicy:
-        """A fresh policy instance."""
-        return get_eviction_policy(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``ttl?seconds=120.0``."""
-        if not self.params:
-            return self.kind
-        parts = [f"{k}={v!r}" for k, v in self.params]
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+    registry = _EVICTIONS
 
 
 @dataclass(frozen=True)
-class KVStoreSpec:
+class KVStoreSpec(Spec):
     """A store family + parameters, paired with an eviction spec.
 
     ``eviction=None`` keeps the default (``lru``) and canonicalizes /
@@ -351,18 +136,14 @@ class KVStoreSpec:
     """
 
     kind: str = DEFAULT_STORE
-    params: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()
     eviction: EvictionSpec | None = None
 
+    registry = _STORES
+    registries = (_STORES, _EVICTIONS)
+
     def __post_init__(self) -> None:
-        family = get_kvstore_family(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        object.__setattr__(
-            self, "params",
-            _normalize_float_params(items, family.params, self.kind,
-                                    "kvstore family"))
-        family.validate(**self.resolved_params())
+        super().__post_init__()
         if self.eviction is not None \
                 and not isinstance(self.eviction, EvictionSpec):
             raise ValueError(
@@ -374,139 +155,61 @@ class KVStoreSpec:
     def of(cls, kind: str = DEFAULT_STORE, eviction=None,
            **params) -> "KVStoreSpec":
         if isinstance(eviction, str):
-            eviction = EvictionSpec(*_parse_part(eviction))
+            eviction = EvictionSpec.parse(eviction)
         return cls(kind, tuple(params.items()), eviction)
-
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_kvstore_family(self.kind)
-        out = {name: float(pd.default) for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def with_params(self, **changes) -> "KVStoreSpec":
-        """A copy with store parameters changed (the ``kvstore.<param>``
-        sweep-axis hook; a value of ``None`` drops the parameter back to
-        its family default)."""
-        merged = dict(self.params)
-        for key, value in changes.items():
-            if value is None:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
-        return KVStoreSpec(self.kind, tuple(merged.items()), self.eviction)
 
     def build(self):
         """A fresh runtime store (with a fresh eviction policy)."""
         eviction = (self.eviction or EvictionSpec(DEFAULT_EVICTION)).build()
-        family = get_kvstore_family(self.kind)
-        return family.build(eviction, **self.resolved_params())
+        return self.entry().build(eviction, **self.resolved_params())
 
     def canonical(self) -> str:
         """Compact string form, e.g. ``tiered?dram_gb=8.0+lfu``."""
-        if not self.params:
-            head = self.kind
-        else:
-            parts = [f"{k}={v!r}" for k, v in self.params]
-            head = f"{self.kind}?{','.join(parts)}"
+        head = super().canonical()
         if self.eviction is None:
             return head
         return f"{head}+{self.eviction.canonical()}"
 
-    def __str__(self) -> str:
-        return self.canonical()
+    @classmethod
+    def parse(cls, text: str) -> "KVStoreSpec":
+        """Parse ``store[?k=v,…][+eviction[?k=v,…]]``.  Each part's role
+        is inferred from its family name; either part may stand alone."""
+        store = eviction = None
+        for part in split_plus(text, "kvstore",
+                               "store[?k=v,…][+eviction[?k=v,…]] (either "
+                               "part may stand alone)"):
+            registry, kind, pairs = parse_clause(
+                part, cls.registries, "kvstore family", "kvstore")
+            if registry is _STORES:
+                if store is not None:
+                    raise ValueError(
+                        f"kvstore {text!r} names two store families "
+                        f"({store[0]!r} and {kind!r})"
+                    )
+                store = (kind, pairs)
+            else:
+                if eviction is not None:
+                    raise ValueError(
+                        f"kvstore {text!r} names two eviction policies "
+                        f"({eviction.kind!r} and {kind!r})"
+                    )
+                eviction = EvictionSpec(kind, pairs)
+        kind, pairs = store if store is not None else (DEFAULT_STORE, ())
+        return cls(kind, pairs, eviction)
+
+    @classmethod
+    def known(cls, reference: str) -> bool:
+        """True when every ``+``-part of a string kvstore reference
+        names a store or eviction family registered in this process
+        (parameters may still be invalid)."""
+        return names_all(reference, cls.registries)
 
 
-# -- string grammar -----------------------------------------------------------
-
-def _parse_part(part: str) -> tuple[str, tuple]:
-    kind, sep, rest = part.partition("?")
-    kind = kind.strip()
-    pairs = []
-    if sep:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not key or not value:
-                raise ValueError(
-                    f"bad kvstore parameter {item!r} in {part!r}; the "
-                    "grammar is family?key=value,key=value"
-                )
-            pairs.append((key, value))
-    return kind, tuple(pairs)
-
-
-def parse_kvstore(text: str) -> KVStoreSpec:
-    """Parse ``store[?k=v,…][+eviction[?k=v,…]]`` into a
-    :class:`KVStoreSpec`.  Each part's role is inferred from its family
-    name; either part may stand alone."""
-    parts = [p.strip() for p in text.strip().split("+")]
-    if not all(parts) or not parts:
-        raise ValueError(
-            f"bad kvstore {text!r}; the grammar is "
-            "store[?k=v,…][+eviction[?k=v,…]] (either part may stand "
-            "alone)"
-        )
-    store = eviction = None
-    for part in parts:
-        kind, pairs = _parse_part(part)
-        if kind in _STORES:
-            if store is not None:
-                raise ValueError(
-                    f"kvstore {text!r} names two store families "
-                    f"({store[0]!r} and {kind!r})"
-                )
-            store = (kind, pairs)
-        elif kind in _EVICTIONS:
-            if eviction is not None:
-                raise ValueError(
-                    f"kvstore {text!r} names two eviction policies "
-                    f"({eviction.kind!r} and {kind!r})"
-                )
-            eviction = EvictionSpec(kind, pairs)
-        else:
-            raise ValueError(
-                f"unknown kvstore family {kind!r}"
-                f"{_suggest(kind, [*_STORES, *_EVICTIONS])}"
-            )
-    kind, pairs = store if store is not None else (DEFAULT_STORE, ())
-    return KVStoreSpec(kind, pairs, eviction)
-
-
-def kvstore_spec(reference) -> KVStoreSpec:
-    """The :class:`KVStoreSpec` behind any kvstore reference: a spec or
-    a grammar string."""
-    if isinstance(reference, KVStoreSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_kvstore(reference)
-    raise TypeError(
-        f"expected a KVStoreSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_kvstore(reference) -> str:
-    """The canonical string form of a kvstore reference."""
-    return kvstore_spec(reference).canonical()
-
-
-def split_kvstore_list(text: str) -> list[str]:
-    """Split a comma-separated kvstore list, keeping ``?k=v`` parameters
-    attached to their part: ``"lru,tiered?dram_gb=8,pool_gb=64+lfu"``
-    splits after ``lru`` only (a ``key=value`` token following an open
-    ``?`` clause continues that clause)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+has_kvstore_families = KVStoreSpec.known
+kvstore_spec = KVStoreSpec.from_reference
+parse_kvstore = KVStoreSpec.parse
+canonical_kvstore = KVStoreSpec.canonical_of
+split_kvstore_list = split_list
 
 
 # -- built-in eviction policies -----------------------------------------------

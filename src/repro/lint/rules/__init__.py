@@ -9,8 +9,7 @@ REPRO103   set-iteration-order              determinism
 REPRO201   spec-must-freeze                 spec hygiene
 REPRO202   duplicate-registration           spec hygiene
 REPRO301   grammar-round-trip               grammar round-trip
-REPRO302   cross-role-uniqueness            grammar round-trip
-REPRO401   catalog-coverage                 catalog coverage
+REPRO302   legacy-alias-shadowing           grammar round-trip
 REPRO501   schema-discipline                schema discipline
 REPRO601   mutable-default-argument         general safety
 REPRO602   float-equality-sim               general safety
@@ -21,8 +20,8 @@ REPRO900   parse-error                      (emitted by the runner)
 =========  ===============================  =============================
 """
 
-from . import catalog, determinism, roundtrip, safety, schema, \
+from . import determinism, roundtrip, safety, schema, \
     spec_hygiene  # noqa: F401
 
-__all__ = ["catalog", "determinism", "roundtrip", "safety", "schema",
+__all__ = ["determinism", "roundtrip", "safety", "schema",
            "spec_hygiene"]

@@ -7,10 +7,11 @@ it again must reproduce the string (slugs, artifact file names and
 sweep-axis labels all depend on it).  REPRO301 *executes* that law for
 every registered family — bare name and full default signature — by
 importing the live registries, so a family whose parameter formatting
-drifts is caught before any scenario slug does.  REPRO302 enforces the
-cross-role uniqueness the pair grammars rely on (a bare ``--scheduler``
-or ``--kvstore`` name must resolve to exactly one role), plus the
-legacy-alias shadowing hazard in the method grammar.
+drifts is caught before any scenario slug does.  REPRO302 catches the
+legacy-alias shadowing hazard in the method grammar.  (The cross-role
+uniqueness the pair grammars rely on — a bare ``--scheduler`` or
+``--kvstore`` name must resolve to exactly one role — is enforced by
+:class:`repro.spec.Registry` at registration.)
 """
 
 from __future__ import annotations
@@ -19,39 +20,18 @@ import importlib
 import inspect
 from pathlib import Path
 
+from ...api.fields import SPEC_FIELDS
 from ..core import Finding, ProjectContext, Rule, register_rule
 
 __all__ = ["RoundTripRule", "CrossRoleUniquenessRule", "REGISTRIES"]
 
 #: (role, module, enumerator, parse, canonical) for every registry
-#: speaking the ``family?k=v`` grammar.  The catalog-coverage rule
-#: (REPRO401) discovers enumerators statically; this table is the
-#: import-side mirror and is itself covered by REPRO401's sweep (an
-#: enumerator missing here still has to show up in ``cli list``).
-REGISTRIES = (
-    ("method", "repro.methods.spec",
-     "method_families", "parse_method", "canonical_method"),
-    ("arrival", "repro.workload.arrivals",
-     "arrival_processes", "parse_arrival", "canonical_arrival"),
-    ("dispatch", "repro.sim.scheduling",
-     "dispatch_policies", "parse_scheduler", "canonical_scheduler"),
-    ("placement", "repro.sim.scheduling",
-     "placement_policies", "parse_scheduler", "canonical_scheduler"),
-    ("kvstore", "repro.kvstore.spec",
-     "kvstore_families", "parse_kvstore", "canonical_kvstore"),
-    ("eviction", "repro.kvstore.spec",
-     "eviction_policies", "parse_kvstore", "canonical_kvstore"),
-    ("selection", "repro.kvstore.selection",
-     "selection_policies", "parse_selection", "canonical_selection"),
-    ("fault", "repro.sim.faults",
-     "fault_families", "parse_faults", "canonical_faults"),
-    ("recovery", "repro.sim.recovery",
-     "recovery_policies", "parse_recovery", "canonical_recovery"),
-    ("autoscaler", "repro.sim.elastic",
-     "autoscaler_policies", "parse_autoscaler", "canonical_autoscaler"),
-    ("admission", "repro.sim.elastic",
-     "admission_policies", "parse_admission", "canonical_admission"),
-)
+#: speaking the ``family?k=v`` grammar, read off the scenario's
+#: spec-field table (:data:`repro.api.fields.SPEC_FIELDS`).
+REGISTRIES = tuple(
+    (registry.role, spec_field.spec.__module__, registry.key,
+     f"parse_{spec_field.stem}", f"canonical_{spec_field.stem}")
+    for spec_field in SPEC_FIELDS for registry in spec_field.registries)
 
 
 def _anchor(project: ProjectContext, obj) -> tuple[str, int]:
@@ -137,34 +117,14 @@ class RoundTripRule(Rule):
 @register_rule
 class CrossRoleUniquenessRule(Rule):
     code = "REPRO302"
-    name = "cross-role-uniqueness"
+    name = "legacy-alias-shadowing"
     description = (
-        "registries sharing a pair grammar must not reuse names "
-        "across roles, and legacy method aliases must not shadow a "
-        "different family")
+        "legacy method aliases must not shadow a different family "
+        "(cross-role names in the pair grammars are refused at "
+        "registration)")
     project_rule = True
 
     def check_project(self, project: ProjectContext):
-        from repro.kvstore.spec import eviction_policies, kvstore_families
-        from repro.sim.scheduling import dispatch_policies, \
-            placement_policies
-
-        pairs = (
-            ("dispatch", dispatch_policies(),
-             "placement", placement_policies()),
-            ("kvstore family", kvstore_families(),
-             "eviction", eviction_policies()),
-        )
-        for role_a, reg_a, role_b, reg_b in pairs:
-            for name in sorted(set(reg_a) & set(reg_b)):
-                path, line = _anchor(project, reg_b[name])
-                yield Finding(
-                    path=path, line=line, code=self.code,
-                    message=f"name {name!r} is registered as both a "
-                            f"{role_a} and a {role_b}; a bare name in "
-                            "the pair grammar must resolve to one role",
-                    rule=self.name)
-
         # A legacy method alias resolves before families in
         # parse_method, so an alias naming a *different* family makes
         # that family unreachable by its own name.

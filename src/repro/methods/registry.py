@@ -28,7 +28,8 @@ import dataclasses
 
 from . import families as _families  # noqa: F401  (registers the families)
 from .base import Method
-from .spec import MethodSpec, _suggest, legacy_names, resolve_method
+from ..spec import suggest
+from .spec import MethodSpec, legacy_names, resolve_method
 
 __all__ = ["METHODS", "get_method", "hack_method", "PAPER_COMPARISON",
            "ABLATIONS", "FP_FORMAT_METHODS"]
@@ -91,5 +92,5 @@ def get_method(name: str) -> Method:
         return METHODS[name]
     except KeyError:
         raise ValueError(
-            f"unknown method {name!r}{_suggest(name, METHODS)}"
+            f"unknown method {name!r}{suggest(name, METHODS)}"
         ) from None

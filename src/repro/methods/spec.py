@@ -27,37 +27,26 @@ never silently disagree about what e.g. ``hack?pi=128`` means.
 Families are registered with the :func:`register_family` decorator and
 the registry is *open*: user code can add families (see
 ``examples/custom_method.py``) and sweep their parameters exactly like
-the built-in ones (``Sweep`` axes named ``method.<param>``).
+the built-in ones (``Sweep`` axes named ``method.<param>``).  The string
+grammar, parameter coercion and registry mechanics are the shared ones
+of :mod:`repro.spec`; keys may use a family's short aliases (``pi`` for
+``partition_size``, ``se`` for ``summation_elimination``, …).
 
 The paper's historical method names (``baseline``, ``hack_pi128``, …)
 are **legacy aliases**: each maps to a MethodSpec (plus purely cosmetic
 ``name``/``display_name`` overrides) and resolves to a Method
 bit-for-bit identical to the pre-spec registry entry, so existing
-scenario JSON, artifact files and slugs are untouched.
-
-String grammar
---------------
-
-::
-
-    method      = legacy-name | family [ "?" param ("," param)* ]
-    param       = key "=" value
-    value       = int | float | "on" | "off" | "true" | "false" | word
-
-Keys may use the family's short aliases (``pi`` for
-``partition_size``, ``se`` for ``summation_elimination``, …).  In a
-comma-separated method *list* (``--methods``), a ``key=value`` token
-following a ``family?…`` token belongs to that spec: ``baseline,
-hack?pi=128,bits=4`` is two methods, not three.
+scenario JSON, artifact files and slugs are untouched.  A method
+reference is a legacy name or a ``family[?key=value,…]`` clause.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import difflib
-import re
 from dataclasses import dataclass
 
+from ..spec import Family, Param, Registry, Spec, parse_clause, split_list, \
+    suggest
 from .base import Method
 
 __all__ = [
@@ -77,25 +66,11 @@ __all__ = [
     "apply_method_params",
 ]
 
-_TRUE_TOKENS = frozenset({"on", "true", "yes", "1"})
-_FALSE_TOKENS = frozenset({"off", "false", "no", "0"})
-
-_FAMILY_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+#: A family parameter: the shared :class:`~repro.spec.Param`.
+ParamDef = Param
 
 
-@dataclass(frozen=True)
-class ParamDef:
-    """One family parameter: its default (which fixes the type), an
-    optional short alias for the string grammar, and optional allowed
-    values."""
-
-    default: object
-    alias: str | None = None
-    choices: tuple | None = None
-    doc: str = ""
-
-
-class MethodFamily:
+class MethodFamily(Family):
     """Base class for method families (subclass + :func:`register_family`).
 
     A family turns a parameter assignment into every runtime view of a
@@ -105,12 +80,6 @@ class MethodFamily:
     when their accuracy path is not dequantize-first).
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: long name -> :class:`ParamDef`.
-    params: dict[str, ParamDef] = {}
     #: True for methods that introduce no quantization error (baseline).
     exact: bool = False
 
@@ -144,273 +113,63 @@ class MethodFamily:
         v_hat, _ = pair[1].roundtrip(v)
         return attention_reference(q, k_hat, v_hat, causal=False)
 
-    # -- derived views --------------------------------------------------------
 
-    @property
-    def alias_map(self) -> dict[str, str]:
-        """Short alias -> long parameter name."""
-        return {pd.alias: name for name, pd in self.params.items()
-                if pd.alias is not None}
+_FAMILIES = Registry("method family", MethodFamily, role="method",
+                     key="method_families", instances=True)
 
-    def signature(self) -> str:
-        """Grammar template with defaults, e.g. ``hack?pi=64,bits=2,…``."""
-        if not self.params:
-            return self.name
-        parts = [f"{pd.alias or name}={_format_value(pd.default)}"
-                 for name, pd in self.params.items()]
-        return f"{self.name}?{','.join(parts)}"
-
-
-# -- family registry ----------------------------------------------------------
-
-_FAMILIES: dict[str, MethodFamily] = {}
-
-
-def register_family(name: str | None = None, *, replace: bool = False):
-    """Class decorator registering a :class:`MethodFamily` subclass.
-
-    ::
-
-        @register_family("toy")
-        class ToyFamily(MethodFamily):
-            params = {"knob": ParamDef(1.0)}
-            def build_method(self, *, knob): ...
-
-    ``name`` overrides the class's ``name`` attribute.  Registering an
-    existing name raises unless ``replace=True``.
-
-    Registration is per-process: worker processes must import the
-    registering module before resolving the family's specs.  The
-    fork-based ``Runner(workers=N)`` pool inherits registrations; on
-    platforms without fork (spawn-based multiprocessing), put the
-    ``@register_family`` in a module the workers import.
-    """
-
-    def decorator(obj):
-        family = obj() if isinstance(obj, type) else obj
-        if name is not None:
-            family.name = name
-        if not _FAMILY_NAME_RE.match(family.name or ""):
-            raise ValueError(
-                f"family name {family.name!r} must match "
-                f"{_FAMILY_NAME_RE.pattern}"
-            )
-        if family.name in _FAMILIES and not replace:
-            raise ValueError(
-                f"method family {family.name!r} is already registered; "
-                "pass register_family(..., replace=True) to override"
-            )
-        seen_aliases: dict[str, str] = {}
-        for pname, pd in family.params.items():
-            if pname == "family":
-                raise ValueError("'family' is a reserved parameter name")
-            if not isinstance(pd.default, (bool, int, float, str)):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a JSON scalar, "
-                    f"got {type(pd.default).__name__}"
-                )
-            if pd.alias is not None:
-                if pd.alias in family.params or pd.alias in seen_aliases:
-                    raise ValueError(
-                        f"alias {pd.alias!r} of parameter {pname!r} "
-                        "collides with another parameter"
-                    )
-                seen_aliases[pd.alias] = pname
-        _FAMILIES[family.name] = family
-        return obj
-
-    return decorator
-
-
-def get_family(name: str) -> MethodFamily:
-    """Look up a registered family, with typo suggestions."""
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown method family {name!r}{_suggest(name, _FAMILIES)}"
-        ) from None
-
-
-def method_families() -> dict[str, MethodFamily]:
-    """All registered families (a copy; registration order preserved)."""
-    return dict(_FAMILIES)
-
-
-def _suggest(name: str, candidates) -> str:
-    candidates = list(dict.fromkeys(candidates))
-    matches = difflib.get_close_matches(name, candidates, n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
+#: Class decorator registering a :class:`MethodFamily` subclass::
+#:
+#:     @register_family("toy")
+#:     class ToyFamily(MethodFamily):
+#:         params = {"knob": ParamDef(1.0)}
+#:         def build_method(self, *, knob): ...
+register_family = _FAMILIES.register
+get_family = _FAMILIES.get
+method_families = _FAMILIES.catalog
 
 
 # -- the spec -----------------------------------------------------------------
 
-def _coerce_value(family: str, name: str, pd: ParamDef, value):
-    """Coerce ``value`` to the parameter's type (set by its default)."""
-    where = f"parameter {name!r} of family {family!r}"
-    if isinstance(pd.default, bool):
-        if isinstance(value, str):
-            token = value.lower()
-            if token in _TRUE_TOKENS:
-                value = True
-            elif token in _FALSE_TOKENS:
-                value = False
-            else:
-                raise ValueError(
-                    f"{where} expects on/off (or true/false), got {value!r}"
-                )
-        elif isinstance(value, int) and value in (0, 1):
-            # The grammar's 1/0 spellings arrive as ints from sweep
-            # axes (the CLI coerces numeric tokens before we see them).
-            value = bool(value)
-        if not isinstance(value, bool):
-            raise ValueError(f"{where} expects a boolean, got {value!r}")
-    elif isinstance(pd.default, int):
-        if isinstance(value, bool) or \
-                (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{where} expects an integer, got {value!r}")
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{where} expects an integer, got {value!r}"
-            ) from None
-    elif isinstance(pd.default, float):
-        if isinstance(value, bool):
-            raise ValueError(f"{where} expects a number, got {value!r}")
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{where} expects a number, got {value!r}"
-            ) from None
-    elif not isinstance(value, str):
-        raise ValueError(f"{where} expects a string, got {value!r}")
-    elif not value or any(c in value for c in ",=?+ "):
-        # These are spec-grammar metacharacters: a value containing
-        # them would canonicalize to a string that cannot re-parse.
-        raise ValueError(
-            f"{where} string values must be non-empty and free of "
-            f"',', '=', '?', '+' and spaces; got {value!r}"
-        )
-    if pd.choices is not None and value not in pd.choices:
-        raise ValueError(
-            f"{where} must be one of "
-            f"{', '.join(str(c) for c in pd.choices)}; got {value!r}"
-        )
-    return value
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, float):
-        # repr is the shortest *exact* round-trip: %g's 6 significant
-        # digits would collapse distinct values (e.g. two keep=0.333…
-        # sweeps) into one canonical string and one scenario slug.
-        return repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(Spec):
     """A declarative method definition: family + parameters.
 
-    ``params`` holds only the parameters given explicitly (family
-    defaults fill the rest at build time), normalized to long names,
-    coerced to the family's declared types and sorted — different
-    spellings of the same parameters (aliases, string booleans,
-    parameter order) compare and hash equal.  An explicitly-given
-    default is *kept*, not dropped: ``hack?pi=64`` stays distinct from
-    ``hack`` (they build equivalent Methods but serialize, key and
+    Parameters are normalized as for every :class:`~repro.spec.Spec`.
+    An explicitly-given default is *kept*: ``hack?pi=64`` stays distinct
+    from ``hack`` (they build equivalent Methods but serialize, key and
     slug as written — what you write is what you get).
     """
 
     family: str
     params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_family(self.family)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        aliases = family.alias_map
-        normalized: dict[str, object] = {}
-        for key, value in items:
-            long = aliases.get(key, key)
-            if long not in family.params:
-                raise ValueError(
-                    f"family {self.family!r} has no parameter {key!r}"
-                    f"{_suggest(key, [*family.params, *aliases])}"
-                )
-            if long in normalized:
-                raise ValueError(
-                    f"parameter {long!r} given twice for family "
-                    f"{self.family!r}"
-                )
-            normalized[long] = _coerce_value(self.family, long,
-                                             family.params[long], value)
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
+    registry = _FAMILIES
 
-    @classmethod
-    def of(cls, family: str, **params) -> "MethodSpec":
-        """Keyword-style constructor: ``MethodSpec.of("hack", bits=4)``."""
-        return cls(family, tuple(params.items()))
-
-    # -- derived views --------------------------------------------------------
-
-    def resolved_params(self) -> dict:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_family(self.family)
-        out = {name: pd.default for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def with_params(self, **changes) -> "MethodSpec":
-        """A copy with parameters changed (aliases accepted; a value of
-        ``None`` drops the parameter back to its family default)."""
-        aliases = get_family(self.family).alias_map
-        merged = dict(self.params)
-        for key, value in changes.items():
-            long = aliases.get(key, key)
-            if value is None:
-                merged.pop(long, None)
-            else:
-                merged[long] = value
-        return MethodSpec(self.family, tuple(merged.items()))
+    @property
+    def kind(self) -> str:
+        return self.family
 
     @property
     def is_exact(self) -> bool:
-        return get_family(self.family).exact
+        return self.entry().exact
 
     # -- resolution -----------------------------------------------------------
 
     def build_method(self) -> Method:
         """Materialize the performance-model :class:`Method`."""
-        return get_family(self.family).build_method(**self.resolved_params())
+        return self.entry().build_method(**self.resolved_params())
 
     def build_compressors(self):
         """Materialize the ``(K, V)`` accuracy compressors (or None)."""
-        return get_family(self.family).build_compressors(
-            **self.resolved_params())
+        return self.entry().build_compressors(**self.resolved_params())
 
     def attention_output(self, q, k, v, rng):
         """One accuracy-harness attention replay (see
         :meth:`MethodFamily.attention_output`)."""
-        return get_family(self.family).attention_output(
+        return self.entry().attention_output(
             self.resolved_params(), q, k, v, rng)
 
     # -- (de)serialization ----------------------------------------------------
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``hack?bits=4,pi=128``."""
-        if not self.params:
-            return self.family
-        family = get_family(self.family)
-        parts = [f"{family.params[k].alias or k}={_format_value(v)}"
-                 for k, v in self.params]
-        return f"{self.family}?{','.join(parts)}"
 
     def to_dict(self) -> dict:
         """Flat JSON form: ``{"family": …, <param>: <value>, …}``."""
@@ -426,62 +185,49 @@ class MethodSpec:
         params = {k: v for k, v in data.items() if k != "family"}
         return cls(data["family"], tuple(params.items()))
 
-    def __str__(self) -> str:
-        return self.canonical()
+    @classmethod
+    def from_reference(cls, method) -> "MethodSpec":
+        """The spec behind any method reference: a spec, a flat JSON
+        dict, a legacy name, or a grammar string."""
+        if isinstance(method, dict):
+            return cls.from_dict(method)
+        return super().from_reference(method)
+
+    @classmethod
+    def canonical_of(cls, method) -> str:
+        """The canonical string of a method reference.  Legacy names
+        canonicalize to themselves, so pre-spec scenarios serialize and
+        slug exactly as before."""
+        if isinstance(method, str) and method.strip() in _LEGACY:
+            return method.strip()
+        return super().canonical_of(method)
+
+    @classmethod
+    def parse(cls, text: str) -> "MethodSpec":
+        """Parse ``family[?key=value,…]``.  Legacy alias names resolve
+        to their underlying spec (cosmetic name overrides drop; use
+        :func:`resolve_method` to keep them)."""
+        text = text.strip()
+        if text in _LEGACY:
+            return _LEGACY[text].spec
+        family = text.partition("?")[0].strip()
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown method {family!r}"
+                             f"{suggest(family, [*_FAMILIES, *_LEGACY])}")
+        _, family, pairs = parse_clause(text, (_FAMILIES,), "method",
+                                        "method")
+        return cls(family, pairs)
+
+    @classmethod
+    def known(cls, method: str) -> bool:
+        """True when a string method reference names a legacy alias or
+        a family registered in this process (its parameters may still
+        be invalid)."""
+        return method.strip() in _LEGACY or _FAMILIES.has(method)
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_method(text: str) -> MethodSpec:
-    """Parse ``family[?key=value,…]`` into a :class:`MethodSpec`.
-
-    Legacy alias names are resolved to their underlying spec (cosmetic
-    name overrides drop; use :func:`resolve_method` to keep them).
-    """
-    text = text.strip()
-    if text in _LEGACY:
-        return _LEGACY[text].spec
-    family, sep, rest = text.partition("?")
-    family = family.strip()
-    if family not in _FAMILIES:
-        raise ValueError(
-            f"unknown method {family!r}"
-            f"{_suggest(family, [*_FAMILIES, *_LEGACY])}"
-        )
-    if not sep:
-        return MethodSpec(family)
-    pairs = []
-    for item in rest.split(","):
-        key, eq, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key or not value:
-            raise ValueError(
-                f"bad method parameter {item!r} in {text!r}; the grammar "
-                "is family?key=value,key=value"
-            )
-        pairs.append((key, value))
-    return MethodSpec(family, tuple(pairs))
-
-
-def split_method_list(text: str) -> list[str]:
-    """Split a comma-separated method list, keeping spec parameters
-    attached: ``"baseline,hack?pi=128,bits=4"`` → ``["baseline",
-    "hack?pi=128,bits=4"]`` (a ``key=value`` token after a ``?`` spec
-    continues that spec).  Entries may be ``+``-joined method *sets*
-    (the CLI's sweep-axis values): only the set's last member can have
-    an open ``?`` clause, so ``"baseline+hack?pi=128,bits=4,kvquant"``
-    → ``["baseline+hack?pi=128,bits=4", "kvquant"]``."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+parse_method = MethodSpec.parse
+split_method_list = split_list
 
 
 # -- legacy aliases -----------------------------------------------------------
@@ -516,28 +262,9 @@ def legacy_names() -> tuple[str, ...]:
 
 # -- resolution entry points --------------------------------------------------
 
-def has_registered_family(method: str) -> bool:
-    """True when a string method reference names a legacy alias or a
-    family registered in this process (its parameters may still be
-    invalid — this only answers "could anyone here resolve it?")."""
-    method = method.strip()
-    return method in _LEGACY or \
-        method.partition("?")[0].strip() in _FAMILIES
-
-
-def method_spec(method) -> MethodSpec:
-    """The :class:`MethodSpec` behind any method reference: a spec, a
-    flat JSON dict, a legacy name, or a grammar string."""
-    if isinstance(method, MethodSpec):
-        return method
-    if isinstance(method, dict):
-        return MethodSpec.from_dict(method)
-    if isinstance(method, str):
-        return parse_method(method)
-    raise TypeError(
-        f"expected a MethodSpec, dict or string, got "
-        f"{type(method).__name__}"
-    )
+has_registered_family = MethodSpec.known
+method_spec = MethodSpec.from_reference
+canonical_method = MethodSpec.canonical_of
 
 
 def resolve_method(method) -> Method:
@@ -554,17 +281,6 @@ def resolve_method(method) -> Method:
     return method_spec(method).build_method()
 
 
-def canonical_method(method) -> str:
-    """The canonical string form of a method reference.  Legacy names
-    canonicalize to themselves, so pre-spec scenarios serialize and
-    slug exactly as before."""
-    if isinstance(method, str):
-        method = method.strip()
-        if method in _LEGACY:
-            return method
-    return method_spec(method).canonical()
-
-
 def apply_method_params(method, changes: dict) -> tuple[str, set]:
     """Apply sweep-axis parameter ``changes`` to one method reference.
 
@@ -574,10 +290,10 @@ def apply_method_params(method, changes: dict) -> tuple[str, set]:
     in a ``method.partition_size`` sweep over ``baseline,hack`` comes
     back verbatim with an empty set."""
     spec = method_spec(method)
-    family = get_family(spec.family)
-    aliases = family.alias_map
+    declared = spec.entry().params
+    aliases = {p.alias for p in declared.values() if p.alias is not None}
     applicable = {k: v for k, v in changes.items()
-                  if aliases.get(k, k) in family.params}
+                  if k in declared or k in aliases}
     if not applicable:
         return canonical_method(method), set()
     return spec.with_params(**applicable).canonical(), set(applicable)

@@ -36,9 +36,9 @@ elastic path adds zero events and changes no hot-path decision.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
+
+from ..spec import Param, Policy, Registry, Spec, split_list
 
 __all__ = [
     "DEFAULT_AUTOSCALER",
@@ -66,54 +66,19 @@ __all__ = [
     "split_admission_list",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 #: The do-nothing defaults an armed engine falls back to.
 DEFAULT_AUTOSCALER = "static"
 DEFAULT_ADMISSION = "accept_all"
 
-
-@dataclass(frozen=True)
-class ElasticParam:
-    """One policy parameter: the default fixes the type (float, or a
-    word-safe string — e.g. a method name or a ``t:frac|t:frac``
-    schedule plan)."""
-
-    default: object
-    doc: str = ""
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-def _coerce(role: str, kind: str, name: str, pd: ElasticParam, value):
-    where = f"parameter {name!r} of {role} policy {kind!r}"
-    if isinstance(pd.default, str):
-        if not isinstance(value, str):
-            raise ValueError(f"{where} expects a string, got {value!r}")
-        if not value or any(c in value for c in ",=?+ "):
-            raise ValueError(
-                f"{where} string values must be non-empty and free of "
-                f"',', '=', '?', '+' and spaces; got {value!r}"
-            )
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{where} expects a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{where} expects a number, got {value!r}"
-        ) from None
+#: A policy parameter: the shared :class:`~repro.spec.Param` (a float,
+#: or a word-safe string — e.g. a method name or a ``t:frac|t:frac``
+#: schedule plan).
+ElasticParam = Param
 
 
 # -- policy base classes ------------------------------------------------------
 
-class AutoscalerPolicy:
+class AutoscalerPolicy(Policy):
     """Decides how many provisioned replicas should be powered.
 
     Subclasses set :attr:`name`, :attr:`description`, :attr:`params`
@@ -129,21 +94,9 @@ class AutoscalerPolicy:
       sliding-window TTFT SLO attainment over recent finishes.
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`ElasticParam`.
-    params: dict[str, ElasticParam] = {}
     #: ``False`` opts out of evaluation events entirely (``static``):
     #: an armed-but-idle engine stays byte-identical to an unarmed one.
     evaluates: bool = True
-
-    def __init__(self, **params) -> None:
-        self.p = params
-
-    def bind(self, sim) -> None:
-        """Called once with the simulator before the run starts."""
 
     def interval_s(self) -> float:
         """Seconds between evaluations (``interval_s`` param)."""
@@ -170,20 +123,8 @@ class AutoscalerPolicy:
         """A decode count keeping the provisioned prefill:decode ratio."""
         return max(1, round(target_prefill * n_decode / max(1, n_prefill)))
 
-    @classmethod
-    def validate(cls, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
-
-
-class AdmissionPolicy:
+class AdmissionPolicy(Policy):
     """Decides the fate of every fresh arrival.
 
     :meth:`admit` returns ``None`` to accept, the string ``"shed"`` to
@@ -194,320 +135,58 @@ class AdmissionPolicy:
     and retries bypass admission: a request is judged once, at arrival.
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`ElasticParam`.
-    params: dict[str, ElasticParam] = {}
     #: ``True`` when :meth:`admit` may return a Method; the engine then
     #: routes prefill through the per-request method path.
     may_degrade: bool = False
-
-    def __init__(self, **params) -> None:
-        self.p = params
-
-    def bind(self, sim) -> None:
-        """Called once with the simulator before the run starts."""
 
     def admit(self, now: float, req, sim):
         """``None`` (accept), ``"shed"``, or a Method (degrade)."""
         return None
 
-    @classmethod
-    def validate(cls, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
+# -- registries and specs ----------------------------------------------------
 
-
-# -- registries ---------------------------------------------------------------
-
-_AUTOSCALERS: dict[str, type] = {}
-_ADMISSIONS: dict[str, type] = {}
-
-
-def _register(registry: dict, base: type, role: str, replace: bool):
-    def decorator(obj):
-        if not (isinstance(obj, type) and issubclass(obj, base)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                f"{base.__name__}"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"{role} policy name {obj.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if obj.name in registry and not replace:
-            raise ValueError(
-                f"{role} policy {obj.name!r} is already registered; pass "
-                f"register_{role}(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            ok_float = isinstance(pd.default, (int, float)) \
-                and not isinstance(pd.default, bool)
-            ok_str = isinstance(pd.default, str) and pd.default
-            if not (ok_float or ok_str):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number or a "
-                    f"non-empty string, got {pd.default!r}"
-                )
-        registry[obj.name] = obj
-        return obj
-    return decorator
-
-
-def register_autoscaler(cls=None, *, replace: bool = False):
-    """Class decorator registering an autoscaler policy."""
-    decorator = _register(_AUTOSCALERS, AutoscalerPolicy, "autoscaler",
-                          replace)
-    return decorator(cls) if cls is not None else decorator
-
-
-def register_admission(cls=None, *, replace: bool = False):
-    """Class decorator registering an admission policy."""
-    decorator = _register(_ADMISSIONS, AdmissionPolicy, "admission",
-                          replace)
-    return decorator(cls) if cls is not None else decorator
-
-
-def get_autoscaler(name: str) -> type:
-    """Look up an autoscaler policy, with typo suggestions."""
-    try:
-        return _AUTOSCALERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown autoscaler policy {name!r}"
-            f"{_suggest(name, _AUTOSCALERS)}"
-        ) from None
-
-
-def get_admission(name: str) -> type:
-    """Look up an admission policy, with typo suggestions."""
-    try:
-        return _ADMISSIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown admission policy {name!r}"
-            f"{_suggest(name, _ADMISSIONS)}"
-        ) from None
-
-
-def autoscaler_policies() -> dict[str, type]:
-    """All registered autoscalers (a copy, registration order)."""
-    return dict(_AUTOSCALERS)
-
-
-def admission_policies() -> dict[str, type]:
-    """All registered admission policies (a copy, registration order)."""
-    return dict(_ADMISSIONS)
-
-
-def has_autoscaler_policy(reference: str) -> bool:
-    """True when the string reference names a registered autoscaler
-    (parameters may still be invalid)."""
-    return reference.strip().partition("?")[0].strip() in _AUTOSCALERS
-
-
-def has_admission_policy(reference: str) -> bool:
-    """True when the string reference names a registered admission
-    policy (parameters may still be invalid)."""
-    return reference.strip().partition("?")[0].strip() in _ADMISSIONS
-
-
-# -- the specs ----------------------------------------------------------------
-
-class _ElasticSpecMixin:
-    """Shared spec behavior; subclasses set ``_role``/``_get``."""
-
-    def _normalize(self) -> None:
-        policy = self._get(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, object] = {}
-        for key, value in items:
-            if key not in policy.params:
-                raise ValueError(
-                    f"{self._role} policy {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, policy.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for {self._role} "
-                    f"policy {self.kind!r}"
-                )
-            normalized[key] = _coerce(self._role, self.kind, key,
-                                      policy.params[key], value)
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        policy.validate(**self.resolved_params())
-
-    def resolved_params(self) -> dict:
-        """Policy defaults overlaid with this spec's parameters."""
-        policy = self._get(self.kind)
-        out = {name: pd.default for name, pd in policy.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self):
-        """A fresh policy instance."""
-        return self._get(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``reactive?queue_hi=8.0``."""
-        if not self.params:
-            return self.kind
-        parts = []
-        for k, v in self.params:
-            parts.append(f"{k}={v!r}" if isinstance(v, float)
-                         else f"{k}={v}")
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+_AUTOSCALERS = Registry("autoscaler policy", AutoscalerPolicy,
+                        role="autoscaler", key="autoscaler_policies")
+_ADMISSIONS = Registry("admission policy", AdmissionPolicy,
+                       role="admission", key="admission_policies")
+register_autoscaler = _AUTOSCALERS.register
+register_admission = _ADMISSIONS.register
+get_autoscaler = _AUTOSCALERS.get
+get_admission = _ADMISSIONS.get
+autoscaler_policies = _AUTOSCALERS.catalog
+admission_policies = _ADMISSIONS.catalog
+has_autoscaler_policy = _AUTOSCALERS.has
+has_admission_policy = _ADMISSIONS.has
 
 
 @dataclass(frozen=True)
-class AutoscalerSpec(_ElasticSpecMixin):
-    """One declarative autoscaler reference: policy + parameters.
-
-    ``params`` holds only the parameters given explicitly, coerced to
-    the policy's declared types and sorted; an explicitly-given default
-    is kept (``reactive?queue_hi=8.0`` stays distinct from
-    ``reactive``)."""
+class AutoscalerSpec(Spec):
+    """One declarative autoscaler reference: policy + parameters."""
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
-    _role = "autoscaler"
-    _get = staticmethod(get_autoscaler)
-
-    def __post_init__(self) -> None:
-        self._normalize()
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "AutoscalerSpec":
-        return cls(kind, tuple(params.items()))
+    registry = _AUTOSCALERS
 
 
 @dataclass(frozen=True)
-class AdmissionSpec(_ElasticSpecMixin):
+class AdmissionSpec(Spec):
     """One declarative admission reference: policy + parameters."""
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
-    _role = "admission"
-    _get = staticmethod(get_admission)
-
-    def __post_init__(self) -> None:
-        self._normalize()
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "AdmissionSpec":
-        return cls(kind, tuple(params.items()))
+    registry = _ADMISSIONS
 
 
-# -- string grammar -----------------------------------------------------------
-
-def _parse(text: str, registry: dict, spec_cls, role: str):
-    part = text.strip()
-    kind, sep, rest = part.partition("?")
-    kind = kind.strip()
-    if not kind or kind not in registry:
-        raise ValueError(
-            f"unknown {role} policy {kind!r}{_suggest(kind, registry)}"
-        )
-    pairs = []
-    if sep:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not key or not value:
-                raise ValueError(
-                    f"bad {role} parameter {item!r} in {text!r}; the "
-                    "grammar is family?key=value,key=value"
-                )
-            pairs.append((key, value))
-    return spec_cls(kind, tuple(pairs))
-
-
-def parse_autoscaler(text: str) -> AutoscalerSpec:
-    """Parse ``family[?key=value,…]`` into an :class:`AutoscalerSpec`."""
-    return _parse(text, _AUTOSCALERS, AutoscalerSpec, "autoscaler")
-
-
-def parse_admission(text: str) -> AdmissionSpec:
-    """Parse ``family[?key=value,…]`` into an :class:`AdmissionSpec`."""
-    return _parse(text, _ADMISSIONS, AdmissionSpec, "admission")
-
-
-def autoscaler_spec(reference) -> AutoscalerSpec:
-    """The :class:`AutoscalerSpec` behind any autoscaler reference."""
-    if isinstance(reference, AutoscalerSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_autoscaler(reference)
-    raise TypeError(
-        f"expected an AutoscalerSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def admission_spec(reference) -> AdmissionSpec:
-    """The :class:`AdmissionSpec` behind any admission reference."""
-    if isinstance(reference, AdmissionSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_admission(reference)
-    raise TypeError(
-        f"expected an AdmissionSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_autoscaler(reference) -> str:
-    """The canonical string form of an autoscaler reference."""
-    return autoscaler_spec(reference).canonical()
-
-
-def canonical_admission(reference) -> str:
-    """The canonical string form of an admission reference."""
-    return admission_spec(reference).canonical()
-
-
-def _split_list(text: str) -> list[str]:
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
-
-
-def split_autoscaler_list(text: str) -> list[str]:
-    """Split a comma-separated autoscaler list, keeping parameters
-    attached: ``"static,reactive?queue_hi=6,queue_lo=1"`` splits after
-    ``static`` only (a ``key=value`` token following an open ``?``
-    clause continues that clause)."""
-    return _split_list(text)
-
-
-def split_admission_list(text: str) -> list[str]:
-    """Split a comma-separated admission list, keeping parameters
-    attached (same continuation rule as autoscaler lists)."""
-    return _split_list(text)
+autoscaler_spec = AutoscalerSpec.from_reference
+admission_spec = AdmissionSpec.from_reference
+parse_autoscaler = AutoscalerSpec.parse
+parse_admission = AdmissionSpec.parse
+canonical_autoscaler = AutoscalerSpec.canonical_of
+canonical_admission = AdmissionSpec.canonical_of
+split_autoscaler_list = split_admission_list = split_list
 
 
 # -- built-in autoscalers -----------------------------------------------------
@@ -517,7 +196,6 @@ class StaticAutoscaler(AutoscalerPolicy):
     name = "static"
     description = ("fixed fleet: every provisioned replica stays "
                    "powered (the do-nothing default)")
-    params: dict[str, ElasticParam] = {}
     evaluates = False
 
     def desired(self, now, sim, n_prefill, n_decode, cur_prefill,
@@ -756,7 +434,6 @@ class ScheduleAutoscaler(AutoscalerPolicy):
 class AcceptAllAdmission(AdmissionPolicy):
     name = "accept_all"
     description = "every arrival is accepted unchanged (the default)"
-    params: dict[str, ElasticParam] = {}
 
 
 @register_admission

@@ -36,12 +36,13 @@ threads through its heap:
 
 from __future__ import annotations
 
-import difflib
 import hashlib
-import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..spec import Param, Policy, Reference, Registry, Spec, names_all, \
+    parse_clause, split_list, split_plus
 
 __all__ = [
     "FaultParam",
@@ -58,22 +59,15 @@ __all__ = [
     "split_faults_list",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 #: Replica roles a crash family may target.
 _ROLES = ("prefill", "decode")
 
-
-@dataclass(frozen=True)
-class FaultParam:
-    """One fault parameter: the default fixes the type (float, or a
-    word-safe string — e.g. a replica role or tier name)."""
-
-    default: object
-    doc: str = ""
+#: A fault parameter: the shared :class:`~repro.spec.Param` (a float, or
+#: a word-safe string — e.g. a replica role or tier name).
+FaultParam = Param
 
 
-class FaultFamily:
+class FaultFamily(Policy):
     """One kind of injected fault.
 
     Subclasses set :attr:`name`, :attr:`description`, :attr:`params`
@@ -90,16 +84,6 @@ class FaultFamily:
       families without one return 0).
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`FaultParam`.
-    params: dict[str, FaultParam] = {}
-
-    def __init__(self, **params) -> None:
-        self.p = params
-
     def events(self, rng: np.random.Generator, horizon_s: float,
                n_prefill: int, n_decode: int) -> list:
         """Timeline contribution: ``(time_s, kind, payload)`` tuples.
@@ -115,181 +99,34 @@ class FaultFamily:
         """Per-transfer failure probability this family contributes."""
         return 0.0
 
-    @classmethod
-    def validate(cls, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
-
-
-_FAULTS: dict[str, type] = {}
-
-
-def register_fault(cls=None, *, replace: bool = False):
-    """Class decorator registering a fault family."""
-
-    def decorator(obj):
-        if not (isinstance(obj, type) and issubclass(obj, FaultFamily)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "FaultFamily"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"fault family name {obj.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if obj.name in _FAULTS and not replace:
-            raise ValueError(
-                f"fault family {obj.name!r} is already registered; pass "
-                "register_fault(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            ok_float = isinstance(pd.default, (int, float)) \
-                and not isinstance(pd.default, bool)
-            ok_str = isinstance(pd.default, str) and pd.default
-            if not (ok_float or ok_str):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number or a "
-                    f"non-empty string, got {pd.default!r}"
-                )
-        _FAULTS[obj.name] = obj
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_fault_family(name: str) -> type:
-    """Look up a fault family, with typo suggestions."""
-    try:
-        return _FAULTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault family {name!r}{_suggest(name, _FAULTS)}"
-        ) from None
-
-
-def fault_families() -> dict[str, type]:
-    """All registered families (a copy, registration order)."""
-    return dict(_FAULTS)
-
-
-def has_fault_families(reference: str) -> bool:
-    """True when every ``+``-part of a string fault reference names a
-    family registered in this process (parameters may still be
-    invalid)."""
-    parts = [p.strip() for p in reference.strip().split("+")]
-    return bool(parts) and all(
-        part.partition("?")[0].strip() in _FAULTS for part in parts
-    )
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-def _coerce(kind: str, name: str, pd: FaultParam, value):
-    where = f"parameter {name!r} of fault family {kind!r}"
-    if isinstance(pd.default, str):
-        if not isinstance(value, str):
-            raise ValueError(f"{where} expects a string, got {value!r}")
-        if not value or any(c in value for c in ",=?+ "):
-            raise ValueError(
-                f"{where} string values must be non-empty and free of "
-                f"',', '=', '?', '+' and spaces; got {value!r}"
-            )
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{where} expects a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{where} expects a number, got {value!r}"
-        ) from None
+_FAULTS = Registry("fault family", FaultFamily, role="fault",
+                   key="fault_families")
+register_fault = _FAULTS.register
+get_fault_family = _FAULTS.get
+fault_families = _FAULTS.catalog
 
 
 # -- the specs ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """One declarative fault reference: family + parameters.
-
-    ``params`` holds only the parameters given explicitly, coerced to
-    the family's declared types and sorted; an explicitly-given default
-    is kept (``transfer_flap?p_fail=0.05`` stays distinct from
-    ``transfer_flap``)."""
+class FaultSpec(Spec):
+    """One declarative fault reference: family + parameters."""
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_fault_family(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, object] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"fault family {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for fault family "
-                    f"{self.kind!r}"
-                )
-            normalized[key] = _coerce(self.kind, key, family.params[key],
-                                      value)
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "FaultSpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_fault_family(self.kind)
-        out = {name: pd.default for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> FaultFamily:
-        """A fresh family instance."""
-        return get_fault_family(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``transfer_flap?p_fail=0.05``."""
-        if not self.params:
-            return self.kind
-        parts = []
-        for k, v in self.params:
-            parts.append(f"{k}={v!r}" if isinstance(v, float)
-                         else f"{k}={v}")
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+    registry = _FAULTS
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Reference):
     """A ``+``-composition of fault specs (order-preserving; one family
     may appear several times, e.g. two brownout windows)."""
 
     faults: tuple[FaultSpec, ...] = ()
+
+    registries = (_FAULTS,)
 
     def __post_init__(self) -> None:
         if not self.faults:
@@ -306,8 +143,30 @@ class FaultPlan:
         """Compact string form: specs joined by ``+``."""
         return "+".join(spec.canonical() for spec in self.faults)
 
-    def __str__(self) -> str:
-        return self.canonical()
+    @classmethod
+    def parse(cls, text: str) -> "FaultPlan":
+        """Parse ``fault[+fault]`` (each ``family[?key=value,…]``)."""
+        specs = []
+        for part in split_plus(text, "fault plan",
+                               "family[?k=v,…][+family[?k=v,…]…]"):
+            _, kind, pairs = parse_clause(part, cls.registries,
+                                          "fault family", "fault")
+            specs.append(FaultSpec(kind, pairs))
+        return cls(tuple(specs))
+
+    @classmethod
+    def from_reference(cls, reference) -> "FaultPlan":
+        """The plan behind any fault reference: a plan, a single spec,
+        or a grammar string."""
+        if isinstance(reference, FaultSpec):
+            return cls((reference,))
+        return super().from_reference(reference)
+
+    @classmethod
+    def known(cls, reference: str) -> bool:
+        """True when every ``+``-part of a string fault reference names
+        a registered family (parameters may still be invalid)."""
+        return names_all(reference, cls.registries)
 
     def rng_seed(self) -> int:
         """Deterministic seed derived from the canonical plan string —
@@ -343,77 +202,11 @@ class FaultPlan:
         return 1.0 - survive
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_faults(text: str) -> FaultPlan:
-    """Parse ``fault[+fault]`` (each ``family[?key=value,…]``) into a
-    :class:`FaultPlan`."""
-    parts = [p.strip() for p in text.strip().split("+")]
-    if not parts or not all(parts):
-        raise ValueError(
-            f"bad fault plan {text!r}; the grammar is "
-            "family[?k=v,…][+family[?k=v,…]…]"
-        )
-    specs = []
-    for part in parts:
-        kind, sep, rest = part.partition("?")
-        kind = kind.strip()
-        if kind not in _FAULTS:
-            raise ValueError(
-                f"unknown fault family {kind!r}{_suggest(kind, _FAULTS)}"
-            )
-        pairs = []
-        if sep:
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                key, value = key.strip(), value.strip()
-                if not eq or not key or not value:
-                    raise ValueError(
-                        f"bad fault parameter {item!r} in {text!r}; the "
-                        "grammar is family?key=value,key=value"
-                    )
-                pairs.append((key, value))
-        specs.append(FaultSpec(kind, tuple(pairs)))
-    return FaultPlan(tuple(specs))
-
-
-def faults_spec(reference) -> FaultPlan:
-    """The :class:`FaultPlan` behind any fault reference: a plan, a
-    single spec, or a grammar string."""
-    if isinstance(reference, FaultPlan):
-        return reference
-    if isinstance(reference, FaultSpec):
-        return FaultPlan((reference,))
-    if isinstance(reference, str):
-        return parse_faults(reference)
-    raise TypeError(
-        f"expected a FaultPlan, FaultSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_faults(reference) -> str:
-    """The canonical string form of a fault reference."""
-    return faults_spec(reference).canonical()
-
-
-def split_faults_list(text: str) -> list[str]:
-    """Split a comma-separated fault-plan list, keeping fault
-    parameters attached:
-    ``"transfer_flap,replica_crash?mttf=300,mttr=20+nic_degrade"``
-    splits after ``transfer_flap`` only (a ``key=value`` token
-    following an open ``?`` clause continues that clause)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+has_fault_families = FaultPlan.known
+faults_spec = FaultPlan.from_reference
+parse_faults = FaultPlan.parse
+canonical_faults = FaultPlan.canonical_of
+split_faults_list = split_list
 
 
 # -- built-in families --------------------------------------------------------

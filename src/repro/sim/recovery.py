@@ -29,11 +29,11 @@ strong method exactly like store/NIC pressure does.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..spec import Param, Policy, Registry, Spec, split_list
 
 __all__ = [
     "RecoveryParam",
@@ -50,21 +50,14 @@ __all__ = [
     "DEFAULT_RECOVERY",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 #: The policy a faulted run gets when none is configured explicitly.
 DEFAULT_RECOVERY = "retry"
 
-
-@dataclass(frozen=True)
-class RecoveryParam:
-    """One policy parameter: a float default plus a one-line doc."""
-
-    default: float
-    doc: str = ""
+#: A policy parameter: the shared :class:`~repro.spec.Param`.
+RecoveryParam = Param
 
 
-class RecoveryPolicy:
+class RecoveryPolicy(Policy):
     """Decides the fate of one fault-interrupted request attempt.
 
     Subclasses set :attr:`name`, :attr:`description`, :attr:`params`
@@ -72,229 +65,35 @@ class RecoveryPolicy:
     override :meth:`bind` to precompute from the simulator.
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`RecoveryParam` (floats only).
-    params: dict[str, RecoveryParam] = {}
-
-    def __init__(self, **params: float) -> None:
-        self.p = params
-
-    def bind(self, sim) -> None:
-        """Called once before the simulation starts."""
-
     def delay(self, req, attempt: int,
               rng: np.random.Generator) -> float | None:
         """Seconds before attempt ``attempt`` (1 = first recovery)
         re-enters the serving path, or ``None`` to fail the request."""
         raise NotImplementedError
 
-    @classmethod
-    def validate(cls, **params: float) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default!r}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
+_RECOVERIES = Registry("recovery policy", RecoveryPolicy, role="recovery",
+                       key="recovery_policies")
+register_recovery = _RECOVERIES.register
+get_recovery_policy = _RECOVERIES.get
+recovery_policies = _RECOVERIES.catalog
+has_recovery_policy = _RECOVERIES.has
 
-
-_RECOVERIES: dict[str, type] = {}
-
-
-def register_recovery(cls=None, *, replace: bool = False):
-    """Class decorator registering a recovery-policy family."""
-
-    def decorator(obj):
-        if not (isinstance(obj, type) and issubclass(obj, RecoveryPolicy)):
-            raise TypeError(
-                f"{getattr(obj, '__name__', obj)!r} must subclass "
-                "RecoveryPolicy"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"recovery policy name {obj.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if obj.name in _RECOVERIES and not replace:
-            raise ValueError(
-                f"recovery policy {obj.name!r} is already registered; "
-                "pass register_recovery(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            if not isinstance(pd.default, (int, float)) \
-                    or isinstance(pd.default, bool):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number, got "
-                    f"{type(pd.default).__name__}"
-                )
-        _RECOVERIES[obj.name] = obj
-        return obj
-
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_recovery_policy(name: str) -> type:
-    """Look up a recovery family, with typo suggestions."""
-    try:
-        return _RECOVERIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown recovery policy {name!r}"
-            f"{_suggest(name, _RECOVERIES)}"
-        ) from None
-
-
-def recovery_policies() -> dict[str, type]:
-    """All registered families (a copy, registration order)."""
-    return dict(_RECOVERIES)
-
-
-def has_recovery_policy(reference: str) -> bool:
-    """True when a string recovery reference names a family registered
-    in this process (parameters may still be invalid)."""
-    return reference.strip().partition("?")[0].strip() in _RECOVERIES
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-# -- the spec -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RecoverySpec:
-    """A declarative recovery-policy reference: family + parameters.
-
-    ``params`` holds only the parameters given explicitly, coerced to
-    float and sorted; an explicitly-given default is kept
-    (``retry?max=3.0`` stays distinct from ``retry``)."""
+class RecoverySpec(Spec):
+    """A declarative recovery-policy reference: family + parameters."""
 
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_recovery_policy(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, float] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"recovery policy {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for recovery policy "
-                    f"{self.kind!r}"
-                )
-            try:
-                normalized[key] = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"parameter {key!r} of recovery policy {self.kind!r} "
-                    f"expects a number, got {value!r}"
-                ) from None
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "RecoverySpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_recovery_policy(self.kind)
-        out = {name: float(pd.default)
-               for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> RecoveryPolicy:
-        """A fresh policy instance (policies may hold per-run state)."""
-        return get_recovery_policy(self.kind)(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``retry?base_s=2.0,max=5.0``."""
-        if not self.params:
-            return self.kind
-        parts = [f"{k}={v!r}" for k, v in self.params]
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+    registry = _RECOVERIES
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_recovery(text: str) -> RecoverySpec:
-    """Parse ``family[?key=value,…]`` into a :class:`RecoverySpec`."""
-    text = text.strip()
-    kind, sep, rest = text.partition("?")
-    kind = kind.strip()
-    if kind not in _RECOVERIES:
-        raise ValueError(
-            f"unknown recovery policy {kind!r}"
-            f"{_suggest(kind, _RECOVERIES)}"
-        )
-    if not sep:
-        return RecoverySpec(kind)
-    pairs = []
-    for item in rest.split(","):
-        key, eq, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key or not value:
-            raise ValueError(
-                f"bad recovery parameter {item!r} in {text!r}; the "
-                "grammar is family?key=value,key=value"
-            )
-        pairs.append((key, value))
-    return RecoverySpec(kind, tuple(pairs))
-
-
-def recovery_spec(reference) -> RecoverySpec:
-    """The :class:`RecoverySpec` behind any recovery reference: a spec
-    or a grammar string."""
-    if isinstance(reference, RecoverySpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_recovery(reference)
-    raise TypeError(
-        f"expected a RecoverySpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_recovery(reference) -> str:
-    """The canonical string form of a recovery reference."""
-    return recovery_spec(reference).canonical()
-
-
-def split_recovery_list(text: str) -> list[str]:
-    """Split a comma-separated recovery list, keeping spec parameters
-    attached: ``"none,retry?max=5,base_s=0.5"`` →
-    ``["none", "retry?max=5,base_s=0.5"]``."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token and "?" in parts[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+recovery_spec = RecoverySpec.from_reference
+parse_recovery = RecoverySpec.parse
+canonical_recovery = RecoverySpec.canonical_of
+split_recovery_list = split_list
 
 
 # -- built-in families --------------------------------------------------------

@@ -40,11 +40,12 @@ precompute per-replica information from the simulator (e.g.
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..spec import Param, Policy, Reference, Registry, Spec, names_all, \
+    parse_clause, share_namespace, split_list, split_plus
 
 __all__ = [
     "PolicyParam",
@@ -67,57 +68,23 @@ __all__ = [
     "DEFAULT_PLACEMENT",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-
 #: The paper's §7.1 policy pair (the engine default).
 DEFAULT_DISPATCH = "splitwise"
 DEFAULT_PLACEMENT = "shortest_queue"
 
-
-@dataclass(frozen=True)
-class PolicyParam:
-    """One policy parameter: a float default plus a one-line doc."""
-
-    default: float
-    doc: str = ""
+#: A policy parameter: the shared :class:`~repro.spec.Param`.
+PolicyParam = Param
 
 
-class SchedulingPolicy:
+class SchedulingPolicy(Policy):
     """Shared base of both policy roles (see subclasses).
 
     Subclasses set :attr:`name`, :attr:`description` and :attr:`params`
     and are registered with :func:`register_policy`.  Instances receive
     their resolved parameters as the ``p`` mapping and may override
-    :meth:`bind` to precompute per-replica state from the simulator.
+    :meth:`bind` to precompute per-replica state from the simulator
+    (its replica lists are built but no event has run).
     """
-
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`PolicyParam` (floats only).
-    params: dict[str, PolicyParam] = {}
-
-    def __init__(self, **params: float) -> None:
-        self.p = params
-
-    def bind(self, sim) -> None:
-        """Called once before the simulation starts; ``sim`` is the
-        :class:`~repro.sim.engine.Simulator` (its replica lists are
-        built but no event has run)."""
-
-    @classmethod
-    def validate(cls, **params: float) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values
-        (called before any instance is constructed)."""
-
-    @classmethod
-    def signature(cls) -> str:
-        """Grammar template with defaults, e.g. ``random?seed=0.0``."""
-        if not cls.params:
-            return cls.name
-        parts = [f"{name}={pd.default!r}" for name, pd in cls.params.items()]
-        return f"{cls.name}?{','.join(parts)}"
 
 
 class PrefillDispatchPolicy(SchedulingPolicy):
@@ -160,195 +127,74 @@ class DecodePlacementPolicy(SchedulingPolicy):
         raise NotImplementedError
 
 
-_DISPATCH: dict[str, type] = {}
-_PLACEMENT: dict[str, type] = {}
+_DISPATCH = Registry("dispatch policy", PrefillDispatchPolicy,
+                     role="dispatch", key="dispatch_policies")
+_PLACEMENT = Registry("placement policy", DecodePlacementPolicy,
+                      role="placement", key="placement_policies")
+_ROLES = {"dispatch": _DISPATCH, "placement": _PLACEMENT}
+# A bare name in the pair grammar must resolve to exactly one role.
+share_namespace(_DISPATCH, _PLACEMENT)
+
+get_dispatch_policy = _DISPATCH.get
+get_placement_policy = _PLACEMENT.get
+dispatch_policies = _DISPATCH.catalog
+placement_policies = _PLACEMENT.catalog
 
 
 def register_policy(cls=None, *, replace: bool = False):
-    """Class decorator registering a policy family.
-
-    Works on subclasses of :class:`PrefillDispatchPolicy` or
-    :class:`DecodePlacementPolicy`; the role is inferred from the base
-    class.  Names must be unique *across both registries* so the string
-    grammar can resolve a bare name to its role.  Registering an
-    existing name raises unless ``replace=True``.
-    """
+    """Class decorator registering a policy family; the role (dispatch
+    or placement) is inferred from the base class."""
 
     def decorator(obj):
-        if issubclass(obj, PrefillDispatchPolicy):
-            registry = _DISPATCH
-        elif issubclass(obj, DecodePlacementPolicy):
-            registry = _PLACEMENT
-        else:
-            raise TypeError(
-                f"{obj.__name__} must subclass PrefillDispatchPolicy or "
-                "DecodePlacementPolicy"
-            )
-        if not _NAME_RE.match(obj.name or ""):
-            raise ValueError(
-                f"policy name {obj.name!r} must match {_NAME_RE.pattern}"
-            )
-        taken = (obj.name in _DISPATCH or obj.name in _PLACEMENT)
-        if taken and not replace:
-            raise ValueError(
-                f"scheduling policy {obj.name!r} is already registered; "
-                "pass register_policy(replace=True) to override"
-            )
-        for pname, pd in obj.params.items():
-            if not isinstance(pd.default, (int, float)) \
-                    or isinstance(pd.default, bool):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number, got "
-                    f"{type(pd.default).__name__}"
-                )
-        registry[obj.name] = obj
-        return obj
+        for registry in _ROLES.values():
+            if isinstance(obj, type) and issubclass(obj, registry.base):
+                return registry.register(obj, replace=replace)
+        raise TypeError(
+            f"{getattr(obj, '__name__', obj)!r} must subclass "
+            "PrefillDispatchPolicy or DecodePlacementPolicy"
+        )
 
-    if cls is not None:
-        return decorator(cls)
-    return decorator
-
-
-def get_dispatch_policy(name: str) -> type:
-    """Look up a dispatch family, with typo suggestions."""
-    try:
-        return _DISPATCH[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown dispatch policy {name!r}"
-            f"{_suggest(name, [*_DISPATCH, *_PLACEMENT])}"
-        ) from None
-
-
-def get_placement_policy(name: str) -> type:
-    """Look up a placement family, with typo suggestions."""
-    try:
-        return _PLACEMENT[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {name!r}"
-            f"{_suggest(name, [*_DISPATCH, *_PLACEMENT])}"
-        ) from None
-
-
-def dispatch_policies() -> dict[str, type]:
-    """All registered dispatch families (a copy, registration order)."""
-    return dict(_DISPATCH)
-
-
-def placement_policies() -> dict[str, type]:
-    """All registered placement families (a copy, registration order)."""
-    return dict(_PLACEMENT)
-
-
-def has_scheduler_policies(reference: str) -> bool:
-    """True when every ``+``-part of a string scheduler reference names
-    a policy registered in this process (parameters may still be
-    invalid)."""
-    parts = [p.strip() for p in reference.strip().split("+")]
-    return all(
-        part.partition("?")[0].strip() in _DISPATCH
-        or part.partition("?")[0].strip() in _PLACEMENT
-        for part in parts
-    ) and bool(parts)
-
-
-def _suggest(name: str, candidates) -> str:
-    candidates = list(dict.fromkeys(candidates))
-    matches = difflib.get_close_matches(name, candidates, n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
+    return decorator(cls) if cls is not None else decorator
 
 
 # -- the specs ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Spec):
     """One declarative policy reference: family + parameters.
 
     ``role`` is ``"dispatch"`` or ``"placement"`` and selects the
-    registry the family is validated against.  ``params`` holds only
-    the parameters given explicitly (family defaults fill the rest at
-    build time), coerced to float and sorted, so different spellings
-    compare and hash equal; an explicitly-given default is kept
-    (``random?seed=0.0`` stays distinct from ``random``).
+    registry the family is validated against.
     """
 
     role: str
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = self._family()
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, float] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"{self.role} policy {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for policy "
-                    f"{self.kind!r}"
-                )
-            try:
-                normalized[key] = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"parameter {key!r} of policy {self.kind!r} expects "
-                    f"a number, got {value!r}"
-                ) from None
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    def _family(self) -> type:
-        if self.role == "dispatch":
-            return get_dispatch_policy(self.kind)
-        if self.role == "placement":
-            return get_placement_policy(self.kind)
-        raise ValueError(
-            f"policy role must be 'dispatch' or 'placement', got "
-            f"{self.role!r}"
-        )
+    @property
+    def registry(self) -> Registry:
+        if self.role not in _ROLES:
+            raise ValueError(
+                f"policy role must be 'dispatch' or 'placement', got "
+                f"{self.role!r}"
+            )
+        return _ROLES[self.role]
 
     @classmethod
     def of(cls, role: str, kind: str, **params) -> "PolicySpec":
         return cls(role, kind, tuple(params.items()))
 
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = self._family()
-        out = {name: float(pd.default) for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
-
-    def build(self) -> SchedulingPolicy:
-        """A fresh policy instance (policies may hold per-run state)."""
-        return self._family()(**self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``random?seed=7.0``."""
-        if not self.params:
-            return self.kind
-        parts = [f"{k}={v!r}" for k, v in self.params]
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
-
 
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Reference):
     """A dispatch/placement policy pair; ``None`` keeps the §7.1
     default for that role (and canonicalizes/serializes without it,
     so what you write is what you get)."""
 
     dispatch: PolicySpec | None = None
     placement: PolicySpec | None = None
+
+    registries = (_DISPATCH, _PLACEMENT)
 
     def __post_init__(self) -> None:
         if self.dispatch is not None and self.dispatch.role != "dispatch":
@@ -380,99 +226,37 @@ class SchedulerSpec:
             return f"{DEFAULT_DISPATCH}+{DEFAULT_PLACEMENT}"
         return "+".join(parts)
 
-    def __str__(self) -> str:
-        return self.canonical()
-
-
-# -- string grammar -----------------------------------------------------------
-
-def parse_scheduler(text: str) -> SchedulerSpec:
-    """Parse ``policy[+policy]`` (each ``family[?key=value,…]``) into a
-    :class:`SchedulerSpec`.  Each part's role is inferred from its
-    family name; at most one part per role."""
-    parts = [p.strip() for p in text.strip().split("+")]
-    if not all(parts) or not parts:
-        raise ValueError(
-            f"bad scheduler {text!r}; the grammar is "
-            "dispatch[?k=v,…][+placement[?k=v,…]] (either part may "
-            "stand alone)"
-        )
-    dispatch = placement = None
-    for part in parts:
-        kind, sep, rest = part.partition("?")
-        kind = kind.strip()
-        if kind in _DISPATCH:
-            role = "dispatch"
-        elif kind in _PLACEMENT:
-            role = "placement"
-        else:
-            raise ValueError(
-                f"unknown scheduling policy {kind!r}"
-                f"{_suggest(kind, [*_DISPATCH, *_PLACEMENT])}"
-            )
-        pairs = []
-        if sep:
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                key, value = key.strip(), value.strip()
-                if not eq or not key or not value:
-                    raise ValueError(
-                        f"bad policy parameter {item!r} in {text!r}; the "
-                        "grammar is family?key=value,key=value"
-                    )
-                pairs.append((key, value))
-        spec = PolicySpec(role, kind, tuple(pairs))
-        if role == "dispatch":
-            if dispatch is not None:
+    @classmethod
+    def parse(cls, text: str) -> "SchedulerSpec":
+        """Parse ``policy[+policy]`` (each ``family[?key=value,…]``).
+        Each part's role is inferred from its family name; at most one
+        part per role."""
+        slots: dict[str, PolicySpec] = {}
+        for part in split_plus(text, "scheduler",
+                               "dispatch[?k=v,…][+placement[?k=v,…]] "
+                               "(either part may stand alone)"):
+            registry, kind, pairs = parse_clause(
+                part, cls.registries, "scheduling policy", "policy")
+            if registry.role in slots:
                 raise ValueError(
-                    f"scheduler {text!r} names two dispatch policies "
-                    f"({dispatch.kind!r} and {kind!r})"
+                    f"scheduler {text!r} names two {registry.role} "
+                    f"policies ({slots[registry.role].kind!r} and {kind!r})"
                 )
-            dispatch = spec
-        else:
-            if placement is not None:
-                raise ValueError(
-                    f"scheduler {text!r} names two placement policies "
-                    f"({placement.kind!r} and {kind!r})"
-                )
-            placement = spec
-    return SchedulerSpec(dispatch=dispatch, placement=placement)
+            slots[registry.role] = PolicySpec(registry.role, kind, pairs)
+        return cls(**slots)
+
+    @classmethod
+    def known(cls, reference: str) -> bool:
+        """True when every ``+``-part of a string scheduler reference
+        names a registered policy (parameters may still be invalid)."""
+        return names_all(reference, cls.registries)
 
 
-def scheduler_spec(reference) -> SchedulerSpec:
-    """The :class:`SchedulerSpec` behind any scheduler reference: a
-    spec or a grammar string."""
-    if isinstance(reference, SchedulerSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_scheduler(reference)
-    raise TypeError(
-        f"expected a SchedulerSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_scheduler(reference) -> str:
-    """The canonical string form of a scheduler reference."""
-    return scheduler_spec(reference).canonical()
-
-
-def split_scheduler_list(text: str) -> list[str]:
-    """Split a comma-separated scheduler list, keeping policy
-    parameters attached: ``"splitwise,random?seed=3,burst=4+no_swap"``
-    splits after ``splitwise`` only (a ``key=value`` token following an
-    open ``?`` clause continues that clause)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token \
-                and "?" in parts[-1].rsplit("+", 1)[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+has_scheduler_policies = SchedulerSpec.known
+scheduler_spec = SchedulerSpec.from_reference
+parse_scheduler = SchedulerSpec.parse
+canonical_scheduler = SchedulerSpec.canonical_of
+split_scheduler_list = split_list
 
 
 # -- built-in dispatch policies -----------------------------------------------

@@ -42,11 +42,11 @@ Built-in families:
 
 from __future__ import annotations
 
-import difflib
-import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..spec import Family, Param, Registry, Spec, split_list
 
 __all__ = [
     "ArrivalParam",
@@ -62,18 +62,11 @@ __all__ = [
     "split_arrival_list",
 ]
 
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+#: A family parameter: the shared :class:`~repro.spec.Param`.
+ArrivalParam = Param
 
 
-@dataclass(frozen=True)
-class ArrivalParam:
-    """One family parameter: a float default plus a one-line doc."""
-
-    default: float
-    doc: str = ""
-
-
-class ArrivalProcess:
+class ArrivalProcess(Family):
     """Base class for arrival-process families.
 
     Subclass, set :attr:`params`, implement :meth:`sample_arrivals`
@@ -83,12 +76,6 @@ class ArrivalProcess:
     ``Scenario(arrival=…)``, ``--arrival``, sweep axes).
     """
 
-    #: Registry key; also the prefix of the string grammar.
-    name: str = "abstract"
-    #: One-line summary shown by ``cli list``.
-    description: str = ""
-    #: Parameter table: name -> :class:`ArrivalParam` (floats only).
-    params: dict[str, ArrivalParam] = {}
     #: Trace-shaping families (``sessions``) set this and implement
     #: :meth:`build_trace` instead of :meth:`sample_arrivals`: their
     #: request *lengths* depend on prior requests (shared prefixes), so
@@ -110,130 +97,24 @@ class ArrivalProcess:
         except ``request_id`` (assigned after the arrival-order sort)."""
         raise NotImplementedError
 
-    def validate(self, **params) -> None:
-        """Raise ``ValueError`` for out-of-range parameter values."""
 
-    def signature(self) -> str:
-        """Grammar template with defaults, e.g. ``gamma?cv=2.0``."""
-        if not self.params:
-            return self.name
-        parts = [f"{name}={pd.default!r}" for name, pd in self.params.items()]
-        return f"{self.name}?{','.join(parts)}"
+_ARRIVALS = Registry("arrival process", ArrivalProcess, role="arrival",
+                     key="arrival_processes", instances=True)
+register_arrival = _ARRIVALS.register
+get_arrival_process = _ARRIVALS.get
+arrival_processes = _ARRIVALS.catalog
+has_arrival_process = _ARRIVALS.has
 
-
-_ARRIVALS: dict[str, ArrivalProcess] = {}
-
-
-def register_arrival(name: str | None = None, *, replace: bool = False):
-    """Class decorator registering an :class:`ArrivalProcess` family."""
-
-    def decorator(obj):
-        family = obj() if isinstance(obj, type) else obj
-        if name is not None:
-            family.name = name
-        if not _NAME_RE.match(family.name or ""):
-            raise ValueError(
-                f"arrival family name {family.name!r} must match "
-                f"{_NAME_RE.pattern}"
-            )
-        if family.name in _ARRIVALS and not replace:
-            raise ValueError(
-                f"arrival family {family.name!r} is already registered; "
-                "pass register_arrival(..., replace=True) to override"
-            )
-        for pname, pd in family.params.items():
-            if not isinstance(pd.default, (int, float)) \
-                    or isinstance(pd.default, bool):
-                raise ValueError(
-                    f"parameter {pname!r} default must be a number, got "
-                    f"{type(pd.default).__name__}"
-                )
-        _ARRIVALS[family.name] = family
-        return obj
-
-    return decorator
-
-
-def get_arrival_process(name: str) -> ArrivalProcess:
-    """Look up a registered family, with typo suggestions."""
-    try:
-        return _ARRIVALS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown arrival process {name!r}{_suggest(name, _ARRIVALS)}"
-        ) from None
-
-
-def arrival_processes() -> dict[str, ArrivalProcess]:
-    """All registered families (a copy; registration order preserved)."""
-    return dict(_ARRIVALS)
-
-
-def has_arrival_process(reference: str) -> bool:
-    """True when a string arrival reference names a family registered in
-    this process (parameters may still be invalid)."""
-    return reference.strip().partition("?")[0].strip() in _ARRIVALS
-
-
-def _suggest(name: str, candidates) -> str:
-    matches = difflib.get_close_matches(name, list(candidates), n=3)
-    if matches:
-        return "; did you mean " + " or ".join(repr(m) for m in matches) + "?"
-    return f"; choose from {', '.join(sorted(candidates))}"
-
-
-# -- the spec -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ArrivalSpec:
-    """A declarative arrival-process definition: family + parameters.
-
-    ``params`` holds only the parameters given explicitly (family
-    defaults fill the rest at sample time), coerced to float and
-    sorted, so different spellings compare and hash equal.  Like
-    :class:`~repro.methods.spec.MethodSpec`, an explicitly-given
-    default is kept: ``gamma?cv=2.0`` stays distinct from ``gamma``.
-    """
+class ArrivalSpec(Spec):
+    """A declarative arrival-process definition: family + parameters
+    (family defaults fill the rest at sample time)."""
 
     kind: str
-    params: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        family = get_arrival_process(self.kind)
-        items = self.params.items() if isinstance(self.params, dict) \
-            else self.params
-        normalized: dict[str, float] = {}
-        for key, value in items:
-            if key not in family.params:
-                raise ValueError(
-                    f"arrival process {self.kind!r} has no parameter "
-                    f"{key!r}{_suggest(key, family.params)}"
-                )
-            if key in normalized:
-                raise ValueError(
-                    f"parameter {key!r} given twice for arrival process "
-                    f"{self.kind!r}"
-                )
-            try:
-                normalized[key] = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"parameter {key!r} of arrival process {self.kind!r} "
-                    f"expects a number, got {value!r}"
-                ) from None
-        object.__setattr__(self, "params", tuple(sorted(normalized.items())))
-        family.validate(**self.resolved_params())
-
-    @classmethod
-    def of(cls, kind: str, **params) -> "ArrivalSpec":
-        return cls(kind, tuple(params.items()))
-
-    def resolved_params(self) -> dict[str, float]:
-        """Family defaults overlaid with this spec's parameters."""
-        family = get_arrival_process(self.kind)
-        out = {name: float(pd.default) for name, pd in family.params.items()}
-        out.update(self.params)
-        return out
+    registry = _ARRIVALS
 
     def sample(self, rng: np.random.Generator, rps: float,
                n: int) -> np.ndarray:
@@ -242,79 +123,14 @@ class ArrivalSpec:
             raise ValueError(f"rps must be positive, got {rps}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        family = get_arrival_process(self.kind)
-        return family.sample_arrivals(rng, rps, n, **self.resolved_params())
-
-    def canonical(self) -> str:
-        """Compact string form, e.g. ``mmpp?burst=4.0,duty=0.1``."""
-        if not self.params:
-            return self.kind
-        parts = [f"{k}={v!r}" for k, v in self.params]
-        return f"{self.kind}?{','.join(parts)}"
-
-    def __str__(self) -> str:
-        return self.canonical()
+        return self.entry().sample_arrivals(rng, rps, n,
+                                            **self.resolved_params())
 
 
-# -- string grammar -----------------------------------------------------------
-
-def parse_arrival(text: str) -> ArrivalSpec:
-    """Parse ``family[?key=value,…]`` into an :class:`ArrivalSpec`."""
-    text = text.strip()
-    kind, sep, rest = text.partition("?")
-    kind = kind.strip()
-    if kind not in _ARRIVALS:
-        raise ValueError(
-            f"unknown arrival process {kind!r}{_suggest(kind, _ARRIVALS)}"
-        )
-    if not sep:
-        return ArrivalSpec(kind)
-    pairs = []
-    for item in rest.split(","):
-        key, eq, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key or not value:
-            raise ValueError(
-                f"bad arrival parameter {item!r} in {text!r}; the grammar "
-                "is family?key=value,key=value"
-            )
-        pairs.append((key, value))
-    return ArrivalSpec(kind, tuple(pairs))
-
-
-def arrival_spec(reference) -> ArrivalSpec:
-    """The :class:`ArrivalSpec` behind any arrival reference: a spec or
-    a grammar string."""
-    if isinstance(reference, ArrivalSpec):
-        return reference
-    if isinstance(reference, str):
-        return parse_arrival(reference)
-    raise TypeError(
-        f"expected an ArrivalSpec or string, got "
-        f"{type(reference).__name__}"
-    )
-
-
-def canonical_arrival(reference) -> str:
-    """The canonical string form of an arrival reference."""
-    return arrival_spec(reference).canonical()
-
-
-def split_arrival_list(text: str) -> list[str]:
-    """Split a comma-separated arrival list, keeping spec parameters
-    attached: ``"poisson,mmpp?burst=4,duty=0.2"`` →
-    ``["poisson", "mmpp?burst=4,duty=0.2"]`` (a ``key=value`` token
-    after a ``?`` spec continues that spec)."""
-    parts: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if parts and "=" in token and "?" not in token and "?" in parts[-1]:
-            parts[-1] += "," + token
-        else:
-            parts.append(token)
-    return parts
+parse_arrival = ArrivalSpec.parse
+arrival_spec = ArrivalSpec.from_reference
+canonical_arrival = ArrivalSpec.canonical_of
+split_arrival_list = split_list
 
 
 # -- built-in families --------------------------------------------------------
@@ -322,8 +138,6 @@ def split_arrival_list(text: str) -> list[str]:
 @register_arrival("constant")
 class ConstantArrivals(ArrivalProcess):
     description = "deterministic gaps of exactly 1/rps (zero variance)"
-    params: dict[str, ArrivalParam] = {}
-
     def sample_arrivals(self, rng, rps, n, **params):
         return np.arange(1, n + 1, dtype=np.float64) / rps
 
@@ -331,8 +145,6 @@ class ConstantArrivals(ArrivalProcess):
 @register_arrival("poisson")
 class PoissonArrivals(ArrivalProcess):
     description = "exponential inter-arrivals (the paper's §7.1 default)"
-    params: dict[str, ArrivalParam] = {}
-
     def sample_arrivals(self, rng, rps, n, **params):
         # One exponential block, drawn first: byte-compatible with the
         # historical generate_trace RNG stream (traces, artifacts and

@@ -42,7 +42,7 @@ def fixture_ctx():
 @pytest.fixture
 def mini_project():
     """mini_project(dirname) -> ProjectContext over a fixture
-    mini-repo (e.g. ``catalog_violation`` with its own src/ tree)."""
+    mini-repo (e.g. ``schema_violation`` with its own src/ tree)."""
     from repro.lint.runner import collect_files
 
     def make(dirname):

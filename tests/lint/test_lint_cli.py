@@ -23,8 +23,8 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for expected in ("REPRO101", "REPRO201", "REPRO301", "REPRO401",
-                         "REPRO501", "REPRO601"):
+        for expected in ("REPRO101", "REPRO201", "REPRO301", "REPRO501",
+                         "REPRO601"):
             assert expected in out
 
     def test_select_flag(self, fixtures_dir, capsys):

@@ -1,9 +1,8 @@
-"""REPRO301/302 (round-trip), REPRO401 (catalog), REPRO501 (schema)."""
+"""REPRO301/302 (round-trip), REPRO501 (schema)."""
 
 import json
 
-from repro.lint.core import FileContext, ProjectContext
-from repro.lint.rules.catalog import CatalogCoverageRule
+from repro.lint.core import ProjectContext
 from repro.lint.rules.roundtrip import (REGISTRIES,
                                         CrossRoleUniquenessRule,
                                         RoundTripRule, check_roundtrip)
@@ -66,35 +65,6 @@ class TestRoundTrip:
         assert len(REGISTRIES) == 11
         assert len({(mod, enum) for _, mod, enum, _, _
                     in REGISTRIES}) == 11
-
-
-class TestCatalogCoverage:
-    def test_fires_on_missing_catalog_key(self, mini_project):
-        project = mini_project("catalog_violation")
-        findings = list(CatalogCoverageRule().check_project(project))
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.code == "REPRO401"
-        assert "widget_families" in f.message
-        assert f.path == "src/repro/widgets.py"
-
-    def test_covered_catalog_passes(self, mini_project):
-        project = mini_project("catalog_clean")
-        assert list(CatalogCoverageRule().check_project(project)) == []
-
-    def test_pragma_suppresses_at_enumerator(self, mini_project):
-        project = mini_project("catalog_pragma")
-        findings = list(CatalogCoverageRule().check_project(project))
-        assert len(findings) == 1
-        ctx = project.get("src/repro/widgets.py")
-        assert ctx.suppresses(findings[0])
-
-    def test_missing_catalog_dict_is_a_finding(self):
-        cli = FileContext("src/repro/cli.py", "def other():\n    pass\n")
-        project = ProjectContext(root=None, files=[cli])
-        findings = list(CatalogCoverageRule().check_project(project))
-        assert len(findings) == 1
-        assert "cannot be checked" in findings[0].message
 
 
 def _schema_rule(root, pin_name="pin.json"):
