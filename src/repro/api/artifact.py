@@ -142,7 +142,8 @@ class RunArtifact:
         return out
 
     def to_json(self, indent: int | None = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunArtifact":
@@ -175,14 +176,17 @@ class RunArtifact:
 
     def save(self, path: str | Path) -> Path:
         """Write to ``path`` (a ``.json`` file, or a directory to get a
-        deterministic per-scenario filename).  Returns the file path."""
+        deterministic per-scenario filename).  Returns the file path.
+
+        The file is compact JSON: unindented, ``json`` encodes in C.
+        """
         path = Path(path)
         if path.suffix != ".json":
             path.mkdir(parents=True, exist_ok=True)
             path = path / f"{self.scenario.slug()}.json"
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
+        path.write_text(self.to_json(indent=None) + "\n")
         return path
 
     @classmethod

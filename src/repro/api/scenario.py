@@ -236,7 +236,8 @@ class Scenario:
         return cls(**kwargs)
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

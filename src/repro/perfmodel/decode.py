@@ -330,15 +330,11 @@ class BatchCostModel:
         batch mid-span: the join takes effect at the end of the
         iteration in progress, i.e. at boundary ``j``.  Clamps to ``k``
         when ``elapsed_s`` lands at (or FP-rounds past) the span's end.
+        Element ``j-1`` of :meth:`span_cumlat` is ``span(ctx0,
+        j).latency_s``, so one search over that vector finds ``j``.
         """
-        lo, hi = 1, k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.span(ctx0, mid).latency_s >= elapsed_s:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        cum = self.span_cumlat(ctx0, k)
+        return min(int(np.searchsorted(cum, elapsed_s, side="left")) + 1, k)
 
 
 def request_decode_costs(

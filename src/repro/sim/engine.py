@@ -40,6 +40,10 @@ Decode stepping runs in one of two modes (``ClusterConfig.step_mode``):
   request joining mid-span truncates the span at the end of the
   iteration in progress — exactly where the token path would have
   admitted it — so the two modes agree to floating-point rounding.
+  Each settled span is one entry in its replica's *span ledger*; a
+  request is credited the in-order sum of its ledger slice once, when
+  it finishes (or its replica crashes), bit-identical to crediting
+  every span as it settles.
 * ``"token"`` — the legacy one-heap-event-per-token path, kept for
   differential testing.
 """
@@ -50,6 +54,8 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -77,6 +83,8 @@ __all__ = ["ClusterConfig", "SimulationResult", "Simulator", "simulate",
            "default_cluster", "DEFAULT_TTFT_SLO_S", "DEFAULT_TBT_SLO_S"]
 
 _GB = 1e9
+#: Token times of a ledger entry that completes no iteration.
+_NO_TIMES = np.empty(0, dtype=np.float64)
 
 #: Default service-level objectives for :meth:`SimulationResult.summary`.
 #: TTFT covers queueing + a long-prompt prefill pass on the §7.1
@@ -385,7 +393,11 @@ class _DecodeReplica:
     base_bytes: float              # params + activations
     used_bytes: float = 0.0
     peak_bytes: float = 0.0
-    active: list = field(default_factory=list)   # [request, remaining]
+    #: ``[request, remaining]`` per request; span mode appends, once the
+    #: request enters its first span, ``end`` (the clock at which it
+    #: finishes), ``base`` (its context length is ``base + clock``) and
+    #: ``start`` (its first ledger index).
+    active: list = field(default_factory=list)
     queued_tokens: int = 0
     iteration_scheduled: bool = False
     assigned: int = 0
@@ -393,14 +405,28 @@ class _DecodeReplica:
     span_id: int = 0               # stale-event guard; bumped per span
     span_start: float = 0.0
     span_k: int = 0
-    span_snapshot: list = field(default_factory=list)
     span_ctx0: np.ndarray | None = None
+    #: ``span_cumlat(span_ctx0, span_k)``: the in-flight span's
+    #: cumulative latency after each iteration.
+    span_cumlat: np.ndarray | None = None
     #: A truncated span settled early; its boundary event will take a
     #: fresh batch snapshot, so later joins need no further interrupt.
     boundary_pending: bool = False
-    #: The boundary iteration :meth:`Simulator._interrupt_span` settled
-    #: through (a crash before the boundary event must un-credit it).
-    boundary_k: int = 0
+    #: Span ledger: one entry per settle, shared by every request in the
+    #: batch that ran it.  A request is credited the in-order sum of its
+    #: slice ``[start:]`` once, when it finishes or its replica crashes.
+    ledger_k: list = field(default_factory=list)
+    ledger_decode: list = field(default_factory=list)
+    ledger_dequant: list = field(default_factory=list)
+    ledger_approx: list = field(default_factory=list)
+    ledger_kv_read: list = field(default_factory=list)
+    #: Token completion times of each entry's iterations.
+    ledger_times: list = field(default_factory=list)
+    #: Iterations settled so far (an un-credited iteration counts back).
+    clock: int = 0
+    #: ``active[:n_started]`` have entered a span; later entries joined
+    #: since the last span was scheduled.
+    n_started: int = 0
     # Fault-injection state (inert without a fault plan).
     up: bool = True
     down_count: int = 0
@@ -410,6 +436,41 @@ class _DecodeReplica:
     lifecycle: int = 0
     on_since: float = 0.0
     gpu_s: float = 0.0
+
+    def append_ledger(self, k: int, decode_s: float, dequant_s: float,
+                      approx_s: float, kv_read_s: float,
+                      times: np.ndarray) -> None:
+        """Book ``k`` iterations (``-1`` takes one back)."""
+        self.ledger_k.append(k)
+        self.ledger_decode.append(decode_s)
+        self.ledger_dequant.append(dequant_s)
+        self.ledger_approx.append(approx_s)
+        self.ledger_kv_read.append(kv_read_s)
+        self.ledger_times.append(times)
+        self.clock += k
+
+    def clear_ledger(self) -> None:
+        """Drop every entry (no started request refers to the ledger)."""
+        for entries in (self.ledger_k, self.ledger_decode,
+                        self.ledger_dequant, self.ledger_approx,
+                        self.ledger_kv_read, self.ledger_times):
+            entries.clear()
+
+    def credit(self, entry: list) -> None:
+        """Accrue one request's ledger slice to its buckets in one call.
+
+        Each bucket is summed left to right from 0.0, the order in
+        which per-span ``+=`` accrual would have added the same terms,
+        so the totals are bit-identical to it.  (The built-in ``sum``
+        is compensated from Python 3.12 on, so it is not used here.)
+        """
+        start = entry[4]
+        entry[0].accrue_decode(
+            reduce(add, self.ledger_decode[start:], 0.0),
+            reduce(add, self.ledger_dequant[start:], 0.0),
+            reduce(add, self.ledger_approx[start:], 0.0),
+            reduce(add, self.ledger_kv_read[start:], 0.0),
+            tokens=sum(self.ledger_k[start:]))
 
     def free_bytes(self) -> float:
         # A crashed (or draining / powered-off) replica reports
@@ -1329,41 +1390,47 @@ class Simulator:
         :meth:`_interrupt_span`."""
         decode = self._decode[idx]
         decode.span_id += 1
-        if not decode.active:
+        active = decode.active
+        if not active:
             decode.iteration_scheduled = False
             return
-        snapshot = list(decode.active)
-        ctx0 = np.array([e[0].trace.input_len + e[0].tokens_generated + 1
-                         for e in snapshot], dtype=np.int64)
-        k = min(e[1] for e in snapshot)
+        clock = decode.clock
+        if decode.n_started < len(active):
+            # Requests that joined since the last span enter the ledger
+            # here, so none is credited for a span it did not run in.
+            if decode.n_started == 0:
+                decode.clear_ledger()
+            start = len(decode.ledger_k)
+            for entry in active[decode.n_started:]:
+                entry += (clock + entry[1],
+                          entry[0].trace.input_len + 1 - clock, start)
+            decode.n_started = len(active)
+        ctx0 = np.array([e[3] for e in active], dtype=np.int64) + clock
+        k = min(e[2] for e in active) - clock
+        decode.span_cumlat = self.cost_model.span_cumlat(ctx0, k)
         totals = self.cost_model.span(ctx0, k)
         decode.span_start = now
         decode.span_k = k
-        decode.span_snapshot = snapshot
         decode.span_ctx0 = ctx0
         decode.iteration_scheduled = True
         self._push(now + totals.latency_s, "decode_span",
                    (idx, decode.span_id, totals))
 
     def _settle_span(self, decode: _DecodeReplica, totals) -> None:
-        """Credit ``totals.k`` iterations to every span participant.
+        """Book the first ``totals.k`` iterations of the in-flight span
+        as one ledger entry.
 
-        Each request accrues the *batch-wide* bucket sums (it waits
-        through the whole batch's iteration), exactly as the token path
-        accrues them one iteration at a time.  Token completion times
-        come from the closed-form cumulative latencies — one shared
-        vector per span whose last element is bitwise identical to the
-        span event's timestamp.
+        Every request in the batch shares the entry: each accrues the
+        *batch-wide* bucket sums (it waits through the whole batch's
+        iteration), exactly as the token path accrues them one iteration
+        at a time.  Token completion times come from the span's
+        closed-form cumulative latencies, whose last element is bitwise
+        identical to the span event's timestamp.
         """
         k = totals.k
-        token_times = decode.span_start + self.cost_model.span_cumlat(
-            decode.span_ctx0, k)
-        for entry in decode.span_snapshot:
-            entry[0].accrue_decode(totals.decode_s, totals.dequant_s,
-                                   totals.approx_s, totals.kv_read_s,
-                                   tokens=k)
-            entry[0].add_token_times(token_times)
-            entry[1] -= k
+        decode.append_ledger(k, totals.decode_s, totals.dequant_s,
+                             totals.approx_s, totals.kv_read_s,
+                             decode.span_start + decode.span_cumlat[:k])
 
     def _on_decode_span(self, now: float, payload) -> None:
         idx, span_id, totals = payload
@@ -1371,10 +1438,18 @@ class Simulator:
         if span_id != decode.span_id:
             return                        # span was truncated by a join
         self._settle_span(decode, totals)
-        finished_entries = [e for e in decode.span_snapshot if e[1] <= 0]
+        clock = decode.clock
+        n = decode.n_started
+        started = decode.active[:n]
+        finished_entries = [e for e in started if e[2] <= clock]
         if finished_entries:
-            decode.active = [e for e in decode.active if e[1] > 0]
+            decode.active = [e for e in started if e[2] > clock] \
+                + decode.active[n:]
+            decode.n_started = n - len(finished_entries)
             for entry in finished_entries:
+                decode.credit(entry)
+                entry[0].add_token_times(
+                    np.concatenate(decode.ledger_times[entry[4]:]))
                 self._finish_request(now, decode, entry[0])
             self._admit_pending(now)
         self._schedule_span(now, idx)
@@ -1383,15 +1458,16 @@ class Simulator:
         """Truncate the in-flight span because a request joined at ``now``.
 
         The join takes effect at the end of the iteration in progress —
-        boundary ``j``.  The first ``j`` iterations are settled with
+        boundary ``j``, the first whose cumulative latency reaches the
+        elapsed time.  The first ``j`` iterations are settled with
         their closed-form totals and a zero-state boundary event is
         pushed at that instant; it re-snapshots the batch, so any
         further joins before the boundary ride along for free.
         """
         decode = self._decode[idx]
         elapsed = now - decode.span_start
-        j = self.cost_model.find_boundary(decode.span_ctx0, decode.span_k,
-                                          elapsed)
+        j = int(np.searchsorted(decode.span_cumlat, elapsed,
+                                side="left")) + 1
         if j >= decode.span_k:
             # Joined during the span's last iteration: the natural span
             # end is the join boundary; nothing to truncate.
@@ -1401,7 +1477,6 @@ class Simulator:
         # No request can finish here: j < k = min(remaining) over the span.
         decode.span_id += 1               # drop the in-flight span event
         decode.boundary_pending = True
-        decode.boundary_k = j
         self._push(decode.span_start + totals.latency_s, "span_boundary",
                    (idx, decode.epoch))
 
@@ -1561,20 +1636,25 @@ class Simulator:
                 # token path would have fired (a tie goes to the crash,
                 # which was pushed first).
                 elapsed = now - decode.span_start
-                cum = self.cost_model.span_cumlat(decode.span_ctx0,
-                                                  decode.span_k)
-                done = int(np.searchsorted(cum, elapsed, side="left"))
+                done = int(np.searchsorted(decode.span_cumlat, elapsed,
+                                           side="left"))
                 if done > 0:
                     self._settle_span(
                         decode, self.cost_model.span(decode.span_ctx0,
                                                      done))
+        # The lost progress is charged as wasted work when the retry
+        # wipes it, so it must reach the buckets first.
+        for entry in decode.active[:decode.n_started]:
+            decode.credit(entry)
         decode.span_id += 1           # drop the in-flight span event
         decode.boundary_pending = False
         decode.iteration_scheduled = False
         victims = [entry[0] for entry in decode.active]
         decode.active = []
-        decode.span_snapshot = []
+        decode.n_started = 0
+        decode.clear_ledger()
         decode.span_ctx0 = None
+        decode.span_cumlat = None
         decode.used_bytes = 0.0
         decode.queued_tokens = 0
         transfer_victims = [
@@ -1613,24 +1693,20 @@ class Simulator:
         progress (where a join lands); a crash striking before the
         boundary event kills that iteration mid-flight, and the token
         path would never have credited it — its event had not fired.
-        Subtract the settled span's last iteration so both step modes
-        account the lost work identically.
+        A negative ledger entry takes back the settled span's last
+        iteration so both step modes account the lost work identically.
         """
-        j = decode.boundary_k
-        tj = self.cost_model.span(decode.span_ctx0, j)
+        j = decode.ledger_k[-1]
+        settled = (decode.ledger_decode[-1], decode.ledger_dequant[-1],
+                   decode.ledger_approx[-1], decode.ledger_kv_read[-1])
         if j > 1:
             tp = self.cost_model.span(decode.span_ctx0, j - 1)
-            deltas = (tj.decode_s - tp.decode_s,
-                      tj.dequant_s - tp.dequant_s,
-                      tj.approx_s - tp.approx_s,
-                      tj.kv_read_s - tp.kv_read_s)
+            deltas = (settled[0] - tp.decode_s, settled[1] - tp.dequant_s,
+                      settled[2] - tp.approx_s, settled[3] - tp.kv_read_s)
         else:
-            deltas = (tj.decode_s, tj.dequant_s, tj.approx_s,
-                      tj.kv_read_s)
-        for entry in decode.span_snapshot:
-            entry[0].accrue_decode(-deltas[0], -deltas[1], -deltas[2],
-                                   -deltas[3], tokens=-1)
-            entry[1] += 1
+            deltas = settled
+        decode.append_ledger(-1, -deltas[0], -deltas[1], -deltas[2],
+                             -deltas[3], _NO_TIMES)
 
     def _on_transfer_fail(self, now: float, payload) -> None:
         req, attempt = payload

@@ -8,8 +8,8 @@ KV-memory-access time inside decode (§2.1's 16–33% metric).
 
 It also carries the serving-metric substrate: the first output token is
 produced by prefill (``prefill_end``), and every decode token's
-completion time is recorded — per iteration on the token path, as a
-shared closed-form time vector per span on the fast path — so TTFT and
+completion time is recorded — per iteration on the token path, as one
+closed-form time vector per request on the fast path — so TTFT and
 time-between-tokens (TBT) statistics are derivable identically in both
 step modes.
 """
@@ -107,8 +107,8 @@ class SimRequest:
     #: Decode-memory bytes reserved for this request.
     reserved_bytes: float = 0.0
     #: Decode-token completion times, as appended chunks: floats on the
-    #: token path, per-span closed-form arrays (shared across the span's
-    #: batch, never mutated) on the span path.
+    #: token path, one closed-form array (never mutated) on the span
+    #: path.
     _token_chunks: list = field(default_factory=list, repr=False,
                                 compare=False)
     _token_times: np.ndarray | None = field(
@@ -226,10 +226,10 @@ class SimRequest:
         self._token_chunks.append(t)
 
     def add_token_times(self, times: np.ndarray) -> None:
-        """Record a span of decode token completions (fast-path step).
+        """Record a run of decode token completions (fast-path step).
 
-        ``times`` is shared across the span's batch and must not be
-        mutated by any holder.
+        ``times`` is kept, not copied, and must not be mutated by any
+        holder.
         """
         self._token_chunks.append(times)
 
@@ -237,10 +237,14 @@ class SimRequest:
         """Absolute completion times of the decode tokens (length
         ``output_len - 1``; the first token is prefill's)."""
         if self._token_times is None:
-            parts = [np.atleast_1d(np.asarray(c, dtype=np.float64))
-                     for c in self._token_chunks]
-            joined = np.concatenate(parts) if parts \
-                else np.empty(0, dtype=np.float64)
+            chunks = self._token_chunks
+            if len(chunks) == 1 and isinstance(chunks[0], np.ndarray):
+                joined = chunks[0]
+            else:
+                parts = [np.atleast_1d(np.asarray(c, dtype=np.float64))
+                         for c in chunks]
+                joined = np.concatenate(parts) if parts \
+                    else np.empty(0, dtype=np.float64)
             if not self.done:
                 return joined
             self._token_times = joined
