@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 
@@ -50,6 +52,29 @@ _METHODS_FIELD = FIELDS_BY_NAME["methods"]
 _OPTIONAL_SPEC_FIELDS = tuple(f for f in SPEC_FIELDS
                               if f is not _METHODS_FIELD)
 _OPTIONAL_NAMES = tuple(f.name for f in _OPTIONAL_SPEC_FIELDS)
+
+
+#: Optional plain numeric fields (``None`` keeps the default): positive
+#: reals, non-negative reals and whole counts >= 1.
+_POSITIVE = ("load_factor", "rps")
+_NON_NEGATIVE = ("activation_overhead",)
+_COUNTS = ("n_requests", "n_prefill_replicas", "n_decode_replicas")
+
+
+def _check_real(name: str, value, positive: bool) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {kind} number, "
+                         f"got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be a whole number >= 1, "
+                         f"got {value!r}")
 
 
 def model_dataset(model: ModelSpec, dataset_name: str) -> tuple[str, int | None]:
@@ -163,11 +188,21 @@ class Scenario:
             calib = self.calibration
             if isinstance(calib, dict):
                 calib = tuple(sorted(calib.items()))
+            for key, value in calib:
+                _check_real(f"calibration value {key}", value,
+                            positive=False)
             object.__setattr__(self, "calibration", tuple(
                 (str(k), float(v)) for k, v in calib
             ))
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_real("scale", self.scale, positive=True)
+        for name in _POSITIVE + _NON_NEGATIVE + _COUNTS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name in _COUNTS:
+                _check_count(name, value)
+            else:
+                _check_real(name, value, positive=name in _POSITIVE)
         if self.step_mode not in (None, "span", "token"):
             raise ValueError(
                 f"step_mode must be 'span', 'token' or None, got "

@@ -47,7 +47,8 @@ def write_baseline(path: Path, findings: list[Finding]) -> None:
         "format_version": _FORMAT_VERSION,
         "findings": [f.to_dict() for f in sorted(findings)],
     }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def split_baselined(findings: list[Finding], baseline: list[Finding]):

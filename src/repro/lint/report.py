@@ -31,4 +31,5 @@ def render_text(result: LintResult, *, verbose: bool = False) -> str:
 
 def render_json(result: LintResult) -> str:
     """Machine-readable report (``repro lint --json``)."""
-    return json.dumps(result.to_dict(), indent=1, sort_keys=True)
+    return json.dumps(result.to_dict(), indent=1, sort_keys=True,
+                      allow_nan=False)

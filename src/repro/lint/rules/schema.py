@@ -121,7 +121,8 @@ def write_pin(project: ProjectContext, path: Path = PIN_PATH) -> dict:
             "cannot extract the artifact schema surface from "
             f"{_ARTIFACT_PATH} / {_REQUEST_PATH}")
     pin = {k: v for k, v in current.items() if not k.startswith("_")}
-    path.write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(pin, indent=1, sort_keys=True,
+                               allow_nan=False) + "\n")
     return pin
 
 

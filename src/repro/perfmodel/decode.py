@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from ..model.config import ModelSpec
 from .calibration import Calibration, DEFAULT_CALIBRATION
 
 __all__ = ["RequestDecodeCosts", "IterationTiming", "SpanTotals",
-           "BatchCostModel", "param_read_time", "request_decode_costs",
-           "iteration_latency"]
+           "SpanVectors", "BatchCostModel", "param_read_time",
+           "request_decode_costs", "iteration_latency"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,29 @@ class SpanTotals:
     dequant_s: float
     approx_s: float
     kv_read_s: float                     # subset of decode_s: KV HBM reads
+
+
+class SpanVectors(NamedTuple):
+    """Per-prefix totals of one span: element ``j-1`` of each vector is
+    the matching :class:`SpanTotals` field of the span's first ``j``
+    iterations (see :meth:`BatchCostModel.span_vectors`)."""
+
+    k: int
+    batch: int
+    cumlat: np.ndarray                   # latency_s
+    decode_s: np.ndarray
+    dequant_s: np.ndarray
+    approx_s: np.ndarray
+    kv_read_s: np.ndarray
+
+    def totals(self, j: int) -> SpanTotals:
+        """The span's first ``j`` iterations as :class:`SpanTotals`."""
+        return SpanTotals(k=j, batch=self.batch,
+                          latency_s=self.cumlat.item(j - 1),
+                          decode_s=self.decode_s.item(j - 1),
+                          dequant_s=self.dequant_s.item(j - 1),
+                          approx_s=self.approx_s.item(j - 1),
+                          kv_read_s=self.kv_read_s.item(j - 1))
 
 
 def param_read_time(spec: ModelSpec, replica: ReplicaResources,
@@ -184,6 +208,9 @@ class BatchCostModel:
                 # Recomputing Σb' re-reads and unpacks the quantized KV.
                 self._a_ap += (self._kv_fp16_bpt * calib.nose_traffic_factor
                                / self._dequant_bw)
+        # (r - s) mod Π for r in [0, Π) is this slice [Π - s : 2Π - s].
+        self._residues = np.tile(np.arange(self._pi, dtype=np.int64), 2)
+        self._i = np.empty(0, dtype=np.int64)    # ramps grow on first use
 
     # -- per-iteration (token-path) evaluation ----------------------------
 
@@ -250,6 +277,17 @@ class BatchCostModel:
         q, r = np.divmod(n, self._pi)
         return self._pi * (q * (q + 1)) // 2 + r * (q + 1)
 
+    @staticmethod
+    def _check_span(ctx0, k: int) -> np.ndarray:
+        ctx0 = np.ascontiguousarray(ctx0, dtype=np.int64)
+        if ctx0.size == 0:
+            raise ValueError("span needs at least one request")
+        if k < 1:
+            raise ValueError(f"span length must be >= 1, got {k}")
+        if int(ctx0.min()) < 1:
+            raise ValueError("context lengths must be >= 1")
+        return ctx0
+
     def span(self, ctx0, k: int) -> SpanTotals:
         """Totals of ``k`` consecutive iterations of one fixed batch.
 
@@ -259,15 +297,10 @@ class BatchCostModel:
         component is its affine coefficient times those sums, so the
         result matches the iterated per-token evaluation to FP rounding.
         ``span(ctx_lens, 1)`` is the vectorized one-iteration batch
-        latency.
+        latency.  This scalar form is the oracle the per-prefix vectors
+        of :meth:`span_vectors` are tested against.
         """
-        ctx0 = np.ascontiguousarray(ctx0, dtype=np.int64)
-        if ctx0.size == 0:
-            raise ValueError("span needs at least one request")
-        if k < 1:
-            raise ValueError(f"span length must be >= 1, got {k}")
-        if int(ctx0.min()) < 1:
-            raise ValueError("context lengths must be >= 1")
+        ctx0 = self._check_span(ctx0, k)
         batch = int(ctx0.size)
         n_costs = batch * k
         # Σ_j Σ_i (ctx0_j + i) — exact in Python ints.
@@ -288,39 +321,100 @@ class BatchCostModel:
                           decode_s=decode_total, dequant_s=dequant,
                           approx_s=approx, kv_read_s=kv_read)
 
+    @property
+    def stair_period(self) -> int:
+        """``Π`` when the Eq. 4 staircase applies (the size of the
+        residue histogram :meth:`span_vectors` takes), else 0."""
+        return self._pi if self.method.approx_per_iter else 0
+
+    def _ramps(self, size: int) -> None:
+        """Grow the shared ramps ``i``, ``i(i-1)/2`` and ``i·shared_s``
+        (indexed by ``i``) to at least ``size`` elements."""
+        if size <= len(self._i):
+            return
+        size = max(size, 2 * len(self._i))
+        i = np.arange(size, dtype=np.int64)
+        tri = i * (i - 1) // 2
+        shared = i * self.shared_s
+        zeros = np.zeros(size)
+        for ramp in (i, tri, shared, zeros):
+            ramp.flags.writeable = False
+        self._i, self._tri, self._ishared, self._zeros = i, tri, shared, zeros
+
+    def span_vectors(self, sum_ctx0: int, batch: int, k: int,
+                     hist: np.ndarray | None = None,
+                     shift: int = 0) -> SpanVectors:
+        """Per-prefix totals of a ``k``-iteration span in one pass.
+
+        The batch enters only through exact integer sums: ``sum_ctx0``
+        (Σ of the first iteration's context lengths), ``batch`` and, for
+        Eq. 4 methods, ``hist`` — the counts of ``(-ctx0) mod Π`` read
+        rotated by ``shift``: ``h[r] = hist[(r + shift) mod Π]``.  Per
+        element the floating-point operations and their order are those
+        of :meth:`span`; a term is left out only where its coefficient
+        is exactly 0.0, and every term is positive, so element ``j-1``
+        of each vector equals the matching field of ``span(ctx0, j)``
+        bit for bit.  The vectors are read-only.
+
+        Stair term: with ``g[t] = Σ_j ceil((ctx0_j + t) / Π)``,
+        ``g[0] = (Σctx0 + Σ_r r·h[r]) / Π`` and ``g[t] = g[t-1] +
+        h[(t-1) mod Π]`` (a request's ceiling steps up right after its
+        context passes a multiple of Π), so the stair is
+        ``cumsum(g)``.
+        """
+        pi = self._pi
+        approx_per_iter = self.method.approx_per_iter
+        self._ramps(k + 1 + (pi if approx_per_iter else 0))
+        i = self._i[1:k + 1]
+        s1 = i * sum_ctx0
+        s1 += batch * self._tri[1:k + 1]
+        n_costs = batch * i
+        kv_read = self._a_kv * s1
+        compute = self._a_cmp * s1
+        if self._b_cmp:
+            compute += self._b_cmp * n_costs
+        decode = self._ishared[1:k + 1] + kv_read
+        decode += compute
+        if self._requant_s:
+            decode += self._requant_s * n_costs
+        latency = decode
+        dequant = self._zeros[:k]
+        if self._a_dq:
+            dequant = self._a_dq * s1
+            latency = latency + dequant
+        approx = self._zeros[:k]
+        if approx_per_iter:
+            shift %= pi
+            residues = self._residues[pi - shift:2 * pi - shift]
+            stair = np.empty(k, dtype=np.int64)
+            stair[0] = (sum_ctx0 + int(residues @ hist)) // pi
+            hist.take(self._i[shift:shift + k - 1], out=stair[1:],
+                      mode="wrap")
+            np.cumsum(stair, out=stair)
+            np.cumsum(stair, out=stair)
+            approx = self._a_ap * s1
+            approx += self._b_ap * n_costs
+            approx += self._c_ap * stair
+            latency = latency + approx
+        return SpanVectors(k, batch, latency, decode, dequant, approx,
+                           kv_read)
+
     def span_cumlat(self, ctx0, k: int) -> np.ndarray:
         """Cumulative span latency after each of ``k`` iterations.
 
-        Element ``i-1`` equals ``span(ctx0, i).latency_s`` — computed
-        with the same exact integer context sums and the same
-        coefficient/addition order, so the last element is bitwise
-        identical to the span total the engine schedules its event at.
-        This is what gives the span fast path per-token completion
-        times (the TTFT/TBT substrate) without stepping token by token.
+        Element ``i-1`` equals ``span(ctx0, i).latency_s`` bit for bit
+        (see :meth:`span_vectors`, which this validates and feeds), so
+        the last element is the span total the engine schedules its
+        event at.  This is what gives the span fast path per-token
+        completion times (the TTFT/TBT substrate) without stepping
+        token by token.
         """
-        ctx0 = np.ascontiguousarray(ctx0, dtype=np.int64)
-        if ctx0.size == 0:
-            raise ValueError("span needs at least one request")
-        if k < 1:
-            raise ValueError(f"span length must be >= 1, got {k}")
-        if int(ctx0.min()) < 1:
-            raise ValueError("context lengths must be >= 1")
-        batch = int(ctx0.size)
-        i = np.arange(1, k + 1, dtype=np.int64)
-        n_costs = batch * i
-        s1 = i * int(ctx0.sum()) + batch * (i * (i - 1) // 2)
-        kv_read = self._a_kv * s1
-        compute = self._a_cmp * s1 + self._b_cmp * n_costs
-        dequant = self._a_dq * s1
-        approx = 0.0
+        ctx0 = self._check_span(ctx0, k)
+        hist = None
         if self.method.approx_per_iter:
-            stair = (self._stair_cumsum(ctx0[None, :] + (i[:, None] - 1))
-                     - self._stair_cumsum(ctx0 - 1)[None, :]).sum(axis=1)
-            approx = self._a_ap * s1 + self._b_ap * n_costs \
-                + self._c_ap * stair
-        requant = self._requant_s * n_costs
-        decode_total = i * self.shared_s + kv_read + compute + requant
-        return decode_total + dequant + approx
+            hist = np.bincount(-ctx0 % self._pi, minlength=self._pi)
+        return self.span_vectors(int(ctx0.sum()), int(ctx0.size), k,
+                                 hist).cumlat
 
     def find_boundary(self, ctx0, k: int, elapsed_s: float) -> int:
         """Smallest ``j`` in ``[1, k]`` whose span latency reaches

@@ -177,9 +177,28 @@ class ArithmeticDecoder:
 
 
 def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
-    """Encode a 1-D array of integer symbols into a bitstream."""
+    """Encode a 1-D array of integer symbols into a bitstream.
+
+    Every symbol must be a whole number in ``[0, n_symbols)``; anything
+    else raises :class:`ValueError` before a bit is written (the coder
+    would otherwise wrap a negative symbol around the alphabet or
+    truncate a fraction, and decode something else).
+    """
     encoder = ArithmeticEncoder(n_symbols)
-    for symbol in np.asarray(symbols).reshape(-1):
+    values = np.asarray(symbols).reshape(-1)
+    if values.size:
+        if values.dtype.kind not in "biuf":
+            raise ValueError(
+                f"symbols must be numbers, got dtype {values.dtype}")
+        if values.dtype.kind == "f" and not np.array_equal(
+                values, np.floor(values)):
+            raise ValueError("symbols must be whole numbers, got a "
+                             "fraction or NaN")
+        low, high = values.min(), values.max()
+        if low < 0 or high >= n_symbols:
+            raise ValueError(f"symbols must lie in [0, {n_symbols}), got "
+                             f"values from {low} to {high}")
+    for symbol in values:
         encoder.encode_symbol(int(symbol))
     return encoder.finish()
 

@@ -36,10 +36,12 @@ Decode stepping runs in one of two modes (``ClusterConfig.step_mode``):
   batch-composition changes (a join via ``transfer_done``, the earliest
   finishing request, or swapped-KV admission) the engine advances all
   ``k`` iterations in a single heap event, using the closed-form span
-  sums of :meth:`~repro.perfmodel.decode.BatchCostModel.span`.  A
-  request joining mid-span truncates the span at the end of the
-  iteration in progress — exactly where the token path would have
-  admitted it — so the two modes agree to floating-point rounding.
+  sums of :meth:`~repro.perfmodel.decode.BatchCostModel.span_vectors`,
+  evaluated once per span from exact batch sums each replica keeps
+  up to date.  A request joining mid-span truncates the span at the
+  end of the iteration in progress — exactly where the token path
+  would have admitted it — so the two modes agree to floating-point
+  rounding.
   Each settled span is one entry in its replica's *span ledger*; a
   request is credited the in-order sum of its ledger slice once, when
   it finishes (or its replica crashes), bit-identical to crediting
@@ -67,7 +69,7 @@ from ..kvstore.spec import KVStoreSpec, kvstore_spec
 from ..methods.base import Method
 from ..model.config import ModelSpec
 from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from ..perfmodel.decode import BatchCostModel
+from ..perfmodel.decode import BatchCostModel, SpanVectors
 from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
@@ -398,17 +400,22 @@ class _DecodeReplica:
     #: finishes), ``base`` (its context length is ``base + clock``) and
     #: ``start`` (its first ledger index).
     active: list = field(default_factory=list)
+    #: Exact running sums over the started entries ``active[:n_started]``
+    #: — all a span's closed form needs: Σ base, the counts of
+    #: ``(-base) mod Π`` (Eq. 4 methods only, else None) and a heap of
+    #: the ``end`` clocks.
+    sum_base: int = 0
+    base_hist: np.ndarray | None = None
+    ends: list = field(default_factory=list)
     queued_tokens: int = 0
     iteration_scheduled: bool = False
     assigned: int = 0
     # Span-mode state (valid while a span event is in flight).
     span_id: int = 0               # stale-event guard; bumped per span
     span_start: float = 0.0
-    span_k: int = 0
-    span_ctx0: np.ndarray | None = None
-    #: ``span_cumlat(span_ctx0, span_k)``: the in-flight span's
-    #: cumulative latency after each iteration.
-    span_cumlat: np.ndarray | None = None
+    #: The in-flight span's per-prefix totals: cumulative latency and
+    #: bucket sums after each iteration.
+    span: SpanVectors | None = None
     #: A truncated span settled early; its boundary event will take a
     #: fresh batch snapshot, so later joins need no further interrupt.
     boundary_pending: bool = False
@@ -471,6 +478,29 @@ class _DecodeReplica:
             reduce(add, self.ledger_approx[start:], 0.0),
             reduce(add, self.ledger_kv_read[start:], 0.0),
             tokens=sum(self.ledger_k[start:]))
+
+    def start(self, entry: list) -> None:
+        """Add an entry entering its first span to the running sums."""
+        self.sum_base += entry[3]
+        heapq.heappush(self.ends, entry[2])
+        if self.base_hist is not None:
+            self.base_hist[-entry[3] % self.base_hist.size] += 1
+
+    def stop(self, entry: list) -> None:
+        """Take a finished entry out of the running sums.  Entries
+        finish at the heap's minimum clock, so popping the minimum once
+        per finisher leaves the heap exact."""
+        self.sum_base -= entry[3]
+        heapq.heappop(self.ends)
+        if self.base_hist is not None:
+            self.base_hist[-entry[3] % self.base_hist.size] -= 1
+
+    def clear_sums(self) -> None:
+        """Empty the running sums (the whole batch is gone)."""
+        self.sum_base = 0
+        self.ends.clear()
+        if self.base_hist is not None:
+            self.base_hist.fill(0)
 
     def free_bytes(self) -> float:
         # A crashed (or draining / powered-off) replica reports
@@ -839,8 +869,11 @@ class Simulator:
             raise ValueError(
                 f"decode replica memory too small for {self.spec.name}"
             )
+        period = self.cost_model.stair_period
         self._decode = [
-            _DecodeReplica(capacity_bytes=capacity, base_bytes=base)
+            _DecodeReplica(capacity_bytes=capacity, base_bytes=base,
+                           base_hist=(np.zeros(period, dtype=np.int64)
+                                      if period else None))
             for _ in range(config.n_decode_replicas)
         ]
         self._pending_swap: deque = deque()
@@ -1404,40 +1437,44 @@ class Simulator:
             for entry in active[decode.n_started:]:
                 entry += (clock + entry[1],
                           entry[0].trace.input_len + 1 - clock, start)
+                decode.start(entry)
             decode.n_started = len(active)
-        ctx0 = np.array([e[3] for e in active], dtype=np.int64) + clock
-        k = min(e[2] for e in active) - clock
-        decode.span_cumlat = self.cost_model.span_cumlat(ctx0, k)
-        totals = self.cost_model.span(ctx0, k)
+        # The batch's contexts are ``base + clock``, so the running sums
+        # give the span's closed form with no pass over the batch.
+        n = decode.n_started
+        span = self.cost_model.span_vectors(
+            decode.sum_base + n * clock, n, decode.ends[0] - clock,
+            decode.base_hist, clock)
+        decode.span = span
         decode.span_start = now
-        decode.span_k = k
-        decode.span_ctx0 = ctx0
         decode.iteration_scheduled = True
-        self._push(now + totals.latency_s, "decode_span",
-                   (idx, decode.span_id, totals))
+        self._push(now + span.cumlat.item(-1), "decode_span",
+                   (idx, decode.span_id))
 
-    def _settle_span(self, decode: _DecodeReplica, totals) -> None:
-        """Book the first ``totals.k`` iterations of the in-flight span
-        as one ledger entry.
+    def _settle_span(self, decode: _DecodeReplica, j: int) -> None:
+        """Book the first ``j`` iterations of the in-flight span as one
+        ledger entry.
 
         Every request in the batch shares the entry: each accrues the
         *batch-wide* bucket sums (it waits through the whole batch's
         iteration), exactly as the token path accrues them one iteration
-        at a time.  Token completion times come from the span's
-        closed-form cumulative latencies, whose last element is bitwise
-        identical to the span event's timestamp.
+        at a time.  The sums and the token completion times are the
+        span's closed-form prefix totals; the last cumulative latency is
+        bitwise identical to the span event's timestamp.
         """
-        k = totals.k
-        decode.append_ledger(k, totals.decode_s, totals.dequant_s,
-                             totals.approx_s, totals.kv_read_s,
-                             decode.span_start + decode.span_cumlat[:k])
+        span = decode.span
+        decode.append_ledger(j, span.decode_s.item(j - 1),
+                             span.dequant_s.item(j - 1),
+                             span.approx_s.item(j - 1),
+                             span.kv_read_s.item(j - 1),
+                             decode.span_start + span.cumlat[:j])
 
     def _on_decode_span(self, now: float, payload) -> None:
-        idx, span_id, totals = payload
+        idx, span_id = payload
         decode = self._decode[idx]
         if span_id != decode.span_id:
             return                        # span was truncated by a join
-        self._settle_span(decode, totals)
+        self._settle_span(decode, decode.span.k)
         clock = decode.clock
         n = decode.n_started
         started = decode.active[:n]
@@ -1447,6 +1484,7 @@ class Simulator:
                 + decode.active[n:]
             decode.n_started = n - len(finished_entries)
             for entry in finished_entries:
+                decode.stop(entry)
                 decode.credit(entry)
                 entry[0].add_token_times(
                     np.concatenate(decode.ledger_times[entry[4]:]))
@@ -1465,19 +1503,18 @@ class Simulator:
         further joins before the boundary ride along for free.
         """
         decode = self._decode[idx]
-        elapsed = now - decode.span_start
-        j = int(np.searchsorted(decode.span_cumlat, elapsed,
+        cumlat = decode.span.cumlat
+        j = int(np.searchsorted(cumlat, now - decode.span_start,
                                 side="left")) + 1
-        if j >= decode.span_k:
+        if j >= decode.span.k:
             # Joined during the span's last iteration: the natural span
             # end is the join boundary; nothing to truncate.
             return
-        totals = self.cost_model.span(decode.span_ctx0, j)
-        self._settle_span(decode, totals)
+        self._settle_span(decode, j)
         # No request can finish here: j < k = min(remaining) over the span.
         decode.span_id += 1               # drop the in-flight span event
         decode.boundary_pending = True
-        self._push(decode.span_start + totals.latency_s, "span_boundary",
+        self._push(decode.span_start + cumlat.item(j - 1), "span_boundary",
                    (idx, decode.epoch))
 
     def _on_span_boundary(self, now: float, payload) -> None:
@@ -1636,12 +1673,10 @@ class Simulator:
                 # token path would have fired (a tie goes to the crash,
                 # which was pushed first).
                 elapsed = now - decode.span_start
-                done = int(np.searchsorted(decode.span_cumlat, elapsed,
+                done = int(np.searchsorted(decode.span.cumlat, elapsed,
                                            side="left"))
                 if done > 0:
-                    self._settle_span(
-                        decode, self.cost_model.span(decode.span_ctx0,
-                                                     done))
+                    self._settle_span(decode, done)
         # The lost progress is charged as wasted work when the retry
         # wipes it, so it must reach the buckets first.
         for entry in decode.active[:decode.n_started]:
@@ -1652,9 +1687,9 @@ class Simulator:
         victims = [entry[0] for entry in decode.active]
         decode.active = []
         decode.n_started = 0
+        decode.clear_sums()
         decode.clear_ledger()
-        decode.span_ctx0 = None
-        decode.span_cumlat = None
+        decode.span = None
         decode.used_bytes = 0.0
         decode.queued_tokens = 0
         transfer_victims = [
@@ -1700,7 +1735,7 @@ class Simulator:
         settled = (decode.ledger_decode[-1], decode.ledger_dequant[-1],
                    decode.ledger_approx[-1], decode.ledger_kv_read[-1])
         if j > 1:
-            tp = self.cost_model.span(decode.span_ctx0, j - 1)
+            tp = decode.span.totals(j - 1)
             deltas = (settled[0] - tp.decode_s, settled[1] - tp.dequant_s,
                       settled[2] - tp.approx_s, settled[3] - tp.kv_read_s)
         else:

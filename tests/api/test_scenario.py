@@ -30,6 +30,58 @@ class TestScenario:
         with pytest.raises(ValueError, match="scale"):
             Scenario(scale=0)
 
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestScenarioNumbers:
+    """Plain numeric fields reject NaN, ±inf, out-of-range and wrongly
+    typed values at construction, not only when written out."""
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF, -1.0, 0.0, 0, True])
+    def test_load_factor(self, bad):
+        with pytest.raises(ValueError, match="load_factor"):
+            Scenario(load_factor=bad)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -0.5, 0.0])
+    def test_rps(self, bad):
+        with pytest.raises(ValueError, match="rps"):
+            Scenario(rps=bad)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0, None])
+    def test_scale(self, bad):
+        with pytest.raises(ValueError, match="scale"):
+            Scenario(scale=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, 12.5, 12.0, NAN, True])
+    def test_n_requests(self, bad):
+        with pytest.raises(ValueError, match="n_requests"):
+            Scenario(n_requests=bad)
+
+    @pytest.mark.parametrize("field", ["n_prefill_replicas",
+                                       "n_decode_replicas"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, INF])
+    def test_replica_counts(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            Scenario(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -0.1])
+    def test_activation_overhead(self, bad):
+        with pytest.raises(ValueError, match="activation_overhead"):
+            Scenario(activation_overhead=bad)
+
+    @pytest.mark.parametrize("bad", [NAN, -INF, -0.5, "fast"])
+    def test_calibration_values(self, bad):
+        with pytest.raises(ValueError, match="calibration value kv_bw_eff"):
+            Scenario(calibration={"kv_bw_eff": bad})
+
+    def test_valid_values_still_construct(self):
+        s = Scenario(load_factor=1, rps=0.25, scale=0.5, n_requests=12,
+                     n_prefill_replicas=3, n_decode_replicas=1,
+                     activation_overhead=0.0,
+                     calibration={"kv_bw_eff": 0.1})
+        assert s.load_factor == 1 and s.activation_overhead == 0.0
+
     def test_json_round_trip(self):
         s = Scenario(model="Y", methods=("baseline", "hack"), dataset="imdb",
                      prefill_gpu="V100", decode_gpu="L4", rps=0.25,

@@ -7,24 +7,32 @@ justification, or (for a deliberate schema change) bump SCHEMA_VERSION
 and refresh the pin.
 """
 
+from pathlib import Path
+
+import pytest
+
 from repro.lint import lint_rules, run_lint
 from repro.lint.baseline import BASELINE_NAME, load_baseline
 
 
-class TestRepoLintsClean:
-    def test_live_repo_has_no_new_findings(self, repo_root):
-        result = run_lint(repo_root)
-        assert result.ok, "new lint findings:\n" + "\n".join(
-            f.render() for f in result.findings)
+@pytest.fixture(scope="module")
+def live_lint():
+    """One full-tree lint pass (seconds long) shared by the checks."""
+    return run_lint(Path(__file__).resolve().parents[2])
 
-    def test_baseline_carries_no_stale_entries(self, repo_root):
-        result = run_lint(repo_root)
-        assert result.stale_baseline == [], (
+
+class TestRepoLintsClean:
+    def test_live_repo_has_no_new_findings(self, live_lint):
+        assert live_lint.ok, "new lint findings:\n" + "\n".join(
+            f.render() for f in live_lint.findings)
+
+    def test_baseline_carries_no_stale_entries(self, live_lint):
+        assert live_lint.stale_baseline == [], (
             "baseline entries matching nothing; run "
             "`repro lint --baseline-update`")
 
-    def test_walk_covers_the_tree(self, repo_root):
-        assert run_lint(repo_root).n_files > 150
+    def test_walk_covers_the_tree(self, live_lint):
+        assert live_lint.n_files > 150
 
     def test_committed_baseline_parses(self, repo_root):
         load_baseline(repo_root / BASELINE_NAME)  # raises if malformed

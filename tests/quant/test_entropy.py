@@ -100,3 +100,31 @@ class TestStreamingApi:
     def test_invalid_alphabet(self):
         with pytest.raises(ValueError):
             ArithmeticEncoder(0)
+
+
+class TestEncodeRejectsBadSymbols:
+    """A bad symbol used to wrap around the alphabet (``-1`` coded as
+    ``n - 1``), raise ``IndexError`` or be truncated (``1.7`` → ``1``)."""
+
+    @pytest.mark.parametrize("symbols", [[-1, 2, -3], [0, 4], [1, 99]],
+                             ids=["negative", "equal-to-n", "above-n"])
+    def test_out_of_range(self, symbols):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            encode(np.array(symbols), 4)
+
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, -np.inf])
+    def test_not_a_whole_symbol(self, bad):
+        with pytest.raises(ValueError, match="symbols must"):
+            encode(np.array([0.0, bad, 2.0]), 4)
+
+    def test_non_numeric(self):
+        with pytest.raises(ValueError, match="numbers"):
+            encode(np.array(["a", "b"]), 4)
+
+    def test_whole_floats_code_like_ints(self):
+        syms = np.array([3, 1, 0, 2, 2, 3])
+        assert encode(syms.astype(float), 4) == encode(syms, 4)
+
+    def test_empty_input_is_still_valid(self):
+        assert encode(np.array([], dtype=float), 4) == \
+            encode(np.array([], dtype=int), 4)
