@@ -30,6 +30,49 @@ class TestScenario:
         with pytest.raises(ValueError, match="scale"):
             Scenario(scale=0)
 
+    def test_json_round_trip(self):
+        s = Scenario(model="Y", methods=("baseline", "hack"), dataset="imdb",
+                     prefill_gpu="V100", decode_gpu="L4", rps=0.25,
+                     seed=7, scale=0.5, pipelining=True,
+                     n_prefill_replicas=3,
+                     calibration={"net_efficiency": 0.5})
+        restored = Scenario.from_json(s.to_json())
+        assert restored == s
+        assert restored.calibration_overrides() == {"net_efficiency": 0.5}
+
+    def test_from_dict_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unknown scenario field"):
+            Scenario.from_dict({"modle": "L"})
+
+    def test_json_is_deterministic(self):
+        a = Scenario(calibration={"kv_bw_eff": 0.1, "net_efficiency": 0.5})
+        b = Scenario(calibration={"net_efficiency": 0.5, "kv_bw_eff": 0.1})
+        assert a == b
+        assert a.to_json() == b.to_json()
+        assert a.slug() == b.slug()
+
+    def test_slug_distinguishes_scenarios(self):
+        assert Scenario().slug() != Scenario(seed=2).slug()
+
+    def test_name_label_never_affects_identity(self):
+        """A sweep-labelled cell equals the same cell run directly."""
+        plain, labelled = Scenario(), Scenario(name="dataset=cocktail")
+        assert plain == labelled
+        assert plain.slug() == labelled.slug()
+        # …but the label still round-trips through JSON.
+        assert Scenario.from_json(labelled.to_json()).name == \
+            "dataset=cocktail"
+
+    def test_split_methods(self):
+        s = Scenario(methods=("baseline", "hack"), dataset="arxiv")
+        parts = s.split_methods()
+        assert [p.methods for p in parts] == [("baseline",), ("hack",)]
+        assert all(p.dataset == "arxiv" for p in parts)
+
+    def test_model_dataset_falcon_substitution(self):
+        name, cap = model_dataset(get_model("F"), "cocktail")
+        assert (name, cap) == ("arxiv", 2048)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -81,49 +124,6 @@ class TestScenarioNumbers:
                      activation_overhead=0.0,
                      calibration={"kv_bw_eff": 0.1})
         assert s.load_factor == 1 and s.activation_overhead == 0.0
-
-    def test_json_round_trip(self):
-        s = Scenario(model="Y", methods=("baseline", "hack"), dataset="imdb",
-                     prefill_gpu="V100", decode_gpu="L4", rps=0.25,
-                     seed=7, scale=0.5, pipelining=True,
-                     n_prefill_replicas=3,
-                     calibration={"net_efficiency": 0.5})
-        restored = Scenario.from_json(s.to_json())
-        assert restored == s
-        assert restored.calibration_overrides() == {"net_efficiency": 0.5}
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown scenario field"):
-            Scenario.from_dict({"modle": "L"})
-
-    def test_json_is_deterministic(self):
-        a = Scenario(calibration={"kv_bw_eff": 0.1, "net_efficiency": 0.5})
-        b = Scenario(calibration={"net_efficiency": 0.5, "kv_bw_eff": 0.1})
-        assert a == b
-        assert a.to_json() == b.to_json()
-        assert a.slug() == b.slug()
-
-    def test_slug_distinguishes_scenarios(self):
-        assert Scenario().slug() != Scenario(seed=2).slug()
-
-    def test_name_label_never_affects_identity(self):
-        """A sweep-labelled cell equals the same cell run directly."""
-        plain, labelled = Scenario(), Scenario(name="dataset=cocktail")
-        assert plain == labelled
-        assert plain.slug() == labelled.slug()
-        # …but the label still round-trips through JSON.
-        assert Scenario.from_json(labelled.to_json()).name == \
-            "dataset=cocktail"
-
-    def test_split_methods(self):
-        s = Scenario(methods=("baseline", "hack"), dataset="arxiv")
-        parts = s.split_methods()
-        assert [p.methods for p in parts] == [("baseline",), ("hack",)]
-        assert all(p.dataset == "arxiv" for p in parts)
-
-    def test_model_dataset_falcon_substitution(self):
-        name, cap = model_dataset(get_model("F"), "cocktail")
-        assert (name, cap) == ("arxiv", 2048)
 
 
 class TestSweep:

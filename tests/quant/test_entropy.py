@@ -103,8 +103,9 @@ class TestStreamingApi:
 
 
 class TestEncodeRejectsBadSymbols:
-    """A bad symbol used to wrap around the alphabet (``-1`` coded as
-    ``n - 1``), raise ``IndexError`` or be truncated (``1.7`` → ``1``)."""
+    """Unchecked, a bad symbol wraps around the alphabet (``-1`` codes
+    as ``n - 1``), raises ``IndexError`` or is truncated (``1.7`` →
+    ``1``)."""
 
     @pytest.mark.parametrize("symbols", [[-1, 2, -3], [0, 4], [1, 99]],
                              ids=["negative", "equal-to-n", "above-n"])
