@@ -11,7 +11,11 @@ Scenarios: the three perfbench simulator workloads at smoke size
 its size (large batches), and a decode-crash scenario with
 retry, pipelining on and off, in which both crash branches of the span
 engine run: a crash in the middle of a span, and a crash between a
-join's truncation and its boundary event.
+join's truncation and its boundary event.  Smoke-size cocktail
+scenarios then cover each subsystem configured on its own: degrading
+and shedding admission, selection without a store, a tiered store
+under sessions, NIC brownout with transfer flaps, prefill crashes, and
+the explicit ``static`` autoscaler with ``accept_all`` admission.
 
 Regenerate a digest only for an intended behaviour change:
 ``PYTHONPATH=src python tests/sim/test_span_golden.py``.
@@ -50,6 +54,28 @@ CRASH = dict(dataset="humaneval", methods=("baseline", "hack"),
              n_requests=60, seed=3,
              faults="replica_crash?mttf=2.0,mttr=1.0", recovery="retry")
 
+#: One subsystem configured at a time, on a saturated cocktail trace
+#: (long prefills, so queues build, ``shed`` sheds and prefill crashes
+#: catch work in flight).  SLO tiers come from ``sessions?tiers=…``.
+SUBSYSTEM = dict(dataset="cocktail", methods=("baseline", "hack"),
+                 n_requests=50, seed=1)
+SUBSYSTEMS = {
+    "degrade": dict(admission="degrade?tier=1,method=hack_int4"),
+    "degrade/tiers": dict(admission="degrade?tier=1,method=hack_int4",
+                          arrival="sessions?tiers=2"),
+    "shed": dict(admission="shed?queue_max=8"),
+    "selection-no-store": dict(selection="slo_tier?tier2=hack_int4"),
+    "selection-no-store/tiers": dict(selection="slo_tier?tier2=hack_int4",
+                                     arrival="sessions?tiers=3"),
+    "kvstore-sessions": dict(kvstore="tiered",
+                             arrival="sessions?turns=4,think_time=20"),
+    "nic-flap": dict(faults="nic_degrade?factor=0.2,start=1.0,"
+                            "duration=20.0+transfer_flap?p_fail=0.1"),
+    "prefill-crash": dict(faults="replica_crash?mttf=3.0,mttr=1.0,"
+                                 "role=prefill"),
+    "static-accept-all": dict(autoscaler="static", admission="accept_all"),
+}
+
 SCENARIOS = {
     **{f"{name}/seed{seed}": dict(fields, seed=seed)
        for name, fields in WORKLOADS.items() for seed in (1, 2)},
@@ -58,6 +84,8 @@ SCENARIOS = {
                                 n_requests=600),
     "crash/pipelining-off": dict(CRASH, pipelining=False),
     "crash/pipelining-on": dict(CRASH, pipelining=True),
+    **{f"subsystem/{name}": dict(SUBSYSTEM, **fields)
+       for name, fields in SUBSYSTEMS.items()},
 }
 
 #: The digests cover values the program builds with ``sum()`` over
@@ -95,6 +123,33 @@ GOLDEN = {
     "sessions-tiered/seed2": (
         "95dbc8614491425da281f56e898c17fee9fa96f214976190c329976be5607b22",
         "c1ba7474c2fe4c97ca54ed60bb66c93ce44b118d5d936a076c271233f542bedb"),
+    "subsystem/degrade": (
+        "62a5196347b7cc4b25a500c90f62bdeb135a9867b3f58dd41b5e2e0d3b2ab18f",
+        "4fbbabe3c61daf24fe9d3d0d0d35c791248af499ce352817916687c367959d5d"),
+    "subsystem/degrade/tiers": (
+        "645cb807525fe06518ddb47b09b7d6fbf9935116220dc7cf5220f00bc19f634b",
+        "3f83dc71d2c0e6b0fcdaaedbc5d1d15864752e0a8e091db20e81327fe9fc1032"),
+    "subsystem/kvstore-sessions": (
+        "6210522a7d400b49cf800d684cd36538a9f6b6febf43a09c3d673d53749dce6a",
+        "7b91296b1d4c12d71a060f9f9853f1fcbe3bfe0cc4a202075dbca809ece710c3"),
+    "subsystem/nic-flap": (
+        "f918ee4c4e7e06b949c3eab68a21f4d2c95cd6cc2658b50d3606c7c202d1ced9",
+        "52209cd3c3e1a6ef27b90423e0865844d5115476250e28d0cde3146495339de7"),
+    "subsystem/prefill-crash": (
+        "92a0ca965dfbfee499056d7522199737547b08019d6c9105d8052dfa654bd53e",
+        "805469835103278d7fb5fca96316639cb3bac27c987536b3d3a2fd6a663d22de"),
+    "subsystem/selection-no-store": (
+        "50b3ea5f2be9a51e7b74870be29192c0c371b10e207e94c15f5191716172cba3",
+        "a134e11e269e708aec352d80a4cb605838db326d88d7dc328bac97ba5939d213"),
+    "subsystem/selection-no-store/tiers": (
+        "ef84763483ddfb2b29f5fd03fbb782c4ded059ab6f6d70a46804182b27591225",
+        "44d13cbc6b83c4c04ee8160b71ddd59f08464363f2b815dbe3e94e8865ec4cd5"),
+    "subsystem/shed": (
+        "d396b94040871ed70a2801b17a2bf0b78c7f521ab21a57ab15a3cfc2d5fefdb3",
+        "b404c1f81f8b4de5b077212cc66e521fc15968b35534706abb124915fd7626e7"),
+    "subsystem/static-accept-all": (
+        "ebef643dd184faedaee74e17404ce0fcb3415dba66f0c2bc3f37bbe4754dd31d",
+        "4fbbabe3c61daf24fe9d3d0d0d35c791248af499ce352817916687c367959d5d"),
 }
 
 
