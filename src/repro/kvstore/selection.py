@@ -186,7 +186,7 @@ class CongestionSelection(CompressionSelectionPolicy):
         # decode replicas down counts as congestion, so a crash trips
         # selection to the cheaper strong method exactly like store/NIC
         # pressure does.  0.0 on unfaulted runs (and absent on foreign
-        # simulator objects), so historical behavior is unchanged.
+        # simulator objects), so the signal is unchanged there.
         capacity_loss = getattr(sim, "fault_capacity_signal", None)
         if capacity_loss is not None:
             signal = max(signal, capacity_loss())

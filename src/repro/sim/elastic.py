@@ -29,9 +29,9 @@ established ``family?k=v`` grammar (mirroring
 
 Both registries are open: subclass :class:`AutoscalerPolicy` /
 :class:`AdmissionPolicy` and decorate with :func:`register_autoscaler`
-/ :func:`register_admission`.  The ``static`` autoscaler plus
-``accept_all`` admission is byte-identical to an unarmed engine — the
-elastic path adds zero events and changes no hot-path decision.
+/ :func:`register_admission`.  The engine always runs one autoscaler
+and one admission policy; unconfigured, they are ``static`` plus
+``accept_all``, which add zero events and change no decision.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ __all__ = [
     "split_admission_list",
 ]
 
-#: The do-nothing defaults an armed engine falls back to.
+#: The do-nothing defaults the engine runs when none is configured.
 DEFAULT_AUTOSCALER = "static"
 DEFAULT_ADMISSION = "accept_all"
 
@@ -94,8 +94,8 @@ class AutoscalerPolicy(Policy):
       sliding-window TTFT SLO attainment over recent finishes.
     """
 
-    #: ``False`` opts out of evaluation events entirely (``static``):
-    #: an armed-but-idle engine stays byte-identical to an unarmed one.
+    #: ``False`` opts out of evaluation events entirely (``static``),
+    #: so the policy adds nothing to the event sequence.
     evaluates: bool = True
 
     def interval_s(self) -> float:
@@ -136,7 +136,7 @@ class AdmissionPolicy(Policy):
     """
 
     #: ``True`` when :meth:`admit` may return a Method; the engine then
-    #: routes prefill through the per-request method path.
+    #: stamps every request's method on its record.
     may_degrade: bool = False
 
     def admit(self, now: float, req, sim):

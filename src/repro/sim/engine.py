@@ -26,6 +26,18 @@ scheduling decisions are pluggable, see :mod:`repro.sim.scheduling`):
 * optional layer-wise pipelining overlaps a request's KV transfer with
   its own prefill (§2.1, Fig. 1(d)) — infeasible for swapped requests.
 
+Every scenario runs one code path.  The optional subsystems — the KV
+store and per-request compression selection (:mod:`repro.kvstore`),
+fault injection and recovery (:mod:`repro.sim.faults`,
+:mod:`repro.sim.recovery`), autoscaling and admission
+(:mod:`repro.sim.elastic`) — are components the engine always
+consults.  Left unconfigured, each is its do-nothing default: no store
+and no selection policy (every request prefills with the scenario
+method), an empty fault timeline, the ``static`` autoscaler and
+``accept_all`` admission.  These add no events and no output keys;
+the :class:`ClusterConfig` fields decide only which summary blocks and
+per-request keys an artifact carries.
+
 Per-iteration wall-clock is attributed to the Fig. 10 buckets
 proportionally to the batch's component sums, so a request's "dequant"
 share reflects the dequantization phases it actually waits through.
@@ -74,8 +86,8 @@ from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
 from ..workload.traces import TraceRequest
-from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_AUTOSCALER, \
-    admission_spec, autoscaler_spec
+from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_ADMISSION, \
+    DEFAULT_AUTOSCALER, admission_spec, autoscaler_spec
 from .faults import FaultPlan, faults_spec
 from .recovery import DEFAULT_RECOVERY, RecoverySpec, recovery_spec
 from .request import BUCKETS, SimRequest, nearest_rank
@@ -140,8 +152,7 @@ class ClusterConfig:
     #: §7.1 pair (``splitwise`` + ``shortest_queue``).
     scheduler: SchedulerSpec | None = None
     #: Tiered KV store for prefix caching (``None`` — the default — is
-    #: no store at all: the engine takes the historical code path and
-    #: produces byte-identical results).  Accepts a
+    #: no store at all: nothing is probed or written back).  Accepts a
     #: :class:`~repro.kvstore.KVStoreSpec` or grammar string
     #: (``"tiered?dram_gb=8.0+lfu"``).
     kvstore: KVStoreSpec | None = None
@@ -149,13 +160,12 @@ class ClusterConfig:
     #: scenario's single method for every request.  Accepts a
     #: :class:`~repro.kvstore.SelectionSpec` or grammar string
     #: (``"slo_tier?tier2=hack_int4"``).  Configuring either ``kvstore``
-    #: or ``selection`` switches the engine to the KV-store-aware
-    #: prefill path (per-request methods stamped on records).
+    #: or ``selection`` stamps each request's method on its record.
     selection: SelectionSpec | None = None
     #: Fault-injection plan (``None`` — the default — injects nothing:
-    #: every hot path takes its historical branch and results are
-    #: byte-identical).  Accepts a :class:`~repro.sim.faults.FaultPlan`,
-    #: a :class:`~repro.sim.faults.FaultSpec` or a grammar string
+    #: an empty timeline, no events and no ``faults`` summary block).
+    #: Accepts a :class:`~repro.sim.faults.FaultPlan`, a
+    #: :class:`~repro.sim.faults.FaultSpec` or a grammar string
     #: (``"replica_crash?mttf=600+transfer_flap?p_fail=0.05"``).
     faults: FaultPlan | None = None
     #: Recovery policy for fault-interrupted requests; only meaningful
@@ -164,10 +174,11 @@ class ClusterConfig:
     #: :class:`~repro.sim.recovery.RecoverySpec` or grammar string.
     recovery: RecoverySpec | None = None
     #: Autoscaler powering provisioned replicas up and down (``None``
-    #: — the default — keeps the historical fixed fleet and
-    #: byte-identical results; so does the explicit ``static``
-    #: policy).  Accepts an :class:`~repro.sim.elastic.AutoscalerSpec`
-    #: or grammar string (``"reactive?queue_hi=6.0"``).
+    #: — the default — runs the ``static`` policy: the whole fleet
+    #: stays powered, no events, no ``elastic`` summary block; the
+    #: explicit ``static`` adds only that block).  Accepts an
+    #: :class:`~repro.sim.elastic.AutoscalerSpec` or grammar string
+    #: (``"reactive?queue_hi=6.0"``).
     autoscaler: AutoscalerSpec | None = None
     #: Admission policy judging every fresh arrival (``None`` — the
     #: default — accepts everything, as does the explicit
@@ -297,7 +308,7 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
     (``"round_robin+best_fit"``); ``None`` keeps the paper's pair.
     ``kvstore``/``selection`` plumb straight through to the matching
     :class:`ClusterConfig` fields (spec objects or grammar strings;
-    ``None`` keeps the historical no-KV-store path), as do
+    ``None`` configures no store or selection policy), as do
     ``faults``/``recovery`` (``None`` injects nothing).
     """
     fleets = parse_fleet_spec(prefill_gpu)
@@ -887,25 +898,26 @@ class Simulator:
         self.dispatch.bind(self)
         self.placement.bind(self)
 
-        # KV-store / compression-selection layer.  When neither is
-        # configured, ``_kv_enabled`` is False and every hot-path method
-        # below takes its historical branch — byte-identical results.
+        # KV-store / compression-selection layer.  Without a store there
+        # is no prefix to probe or write back; without a selection
+        # policy (or an admission verdict) every request prefills with
+        # the scenario method.
         self.kvstore = config.kvstore.build() \
             if config.kvstore is not None else None
         self.selection = config.selection.build() \
             if config.selection is not None else None
-        self._kv_enabled = (self.kvstore is not None
-                            or self.selection is not None)
         self._selection_mix: dict[str, dict[str, int]] = {}
         if self.selection is not None:
             self.selection.bind(self)
 
-        # Fault injection / recovery.  Without a fault plan
-        # ``_faults_enabled`` is False and every hot-path method below
-        # takes its historical branch — byte-identical results.
+        # Fault injection / recovery.  Without a fault plan the timeline
+        # is empty, no NIC brownout or transfer flap is active, and the
+        # recovery policy is never asked.
         self.faults = config.faults
-        self._faults_enabled = config.faults is not None
-        self.recovery = None
+        rspec = config.recovery if config.recovery is not None \
+            else RecoverySpec(DEFAULT_RECOVERY)
+        self.recovery = rspec.build()
+        self.recovery.bind(self)
         self._fault_rng: np.random.Generator | None = None
         self._fault_timeline: list = []
         self._transfer_fail_p = 0.0
@@ -918,7 +930,7 @@ class Simulator:
         #: start) for every in-flight KV transfer; lets a crash or flap
         #: un-credit the wire time it threw away.
         self._inflight: dict[int, tuple[SimRequest, float]] = {}
-        if self._faults_enabled:
+        if self.faults is not None:
             for spec in self.faults.faults:
                 if spec.kind != "kvstore_outage":
                     continue
@@ -934,10 +946,6 @@ class Simulator:
                         f"kvstore_outage tier {tier!r} is not in the "
                         f"configured store (tiers: {', '.join(names)})"
                     )
-            rspec = config.recovery if config.recovery is not None \
-                else RecoverySpec(DEFAULT_RECOVERY)
-            self.recovery = rspec.build()
-            self.recovery.bind(self)
             # The plan-derived seed (not the trace seed) makes the
             # stream re-derivable inside parallel sweep workers: the
             # timeline draws first, then runtime draws (transfer flaps,
@@ -949,16 +957,19 @@ class Simulator:
                 self._fault_rng, horizon, len(self._prefill),
                 len(self._decode))
 
-        # Elastic cluster: autoscaling + admission.  Without either,
-        # ``_elastic_enabled`` is False and every hot-path method below
-        # takes its historical branch — byte-identical results.  The
-        # provisioned fleet is the *maximum*: the autoscaler powers
-        # replicas on and off within it, so a ``static`` run is exactly
-        # the peak-sized fleet.
-        self._elastic_enabled = (config.autoscaler is not None
-                                 or config.admission is not None)
-        self.autoscaler = None
-        self.admission = None
+        # Elastic cluster: autoscaling + admission.  The provisioned
+        # fleet is the *maximum*: the autoscaler powers replicas on and
+        # off within it.  Unconfigured, the ``static`` autoscaler keeps
+        # the whole fleet powered and never evaluates, and
+        # ``accept_all`` admission accepts every arrival unchanged.
+        aspec = config.autoscaler if config.autoscaler is not None \
+            else AutoscalerSpec(DEFAULT_AUTOSCALER)
+        self.autoscaler = aspec.build()
+        self.autoscaler.bind(self)
+        adspec = config.admission if config.admission is not None \
+            else AdmissionSpec(DEFAULT_ADMISSION)
+        self.admission = adspec.build()
+        self.admission.bind(self)
         self._n_shed = 0
         self._n_degraded = 0
         #: ``(time, role, action, index)`` scaling events.
@@ -966,28 +977,27 @@ class Simulator:
         #: ``(time, powered_prefill, powered_decode)`` step timeseries.
         self._replica_timeseries: list = []
         self._last_terminal_t = 0.0
-        if self._elastic_enabled:
-            aspec = config.autoscaler if config.autoscaler is not None \
-                else AutoscalerSpec(DEFAULT_AUTOSCALER)
-            self.autoscaler = aspec.build()
-            self.autoscaler.bind(self)
-            if config.admission is not None:
-                self.admission = config.admission.build()
-                self.admission.bind(self)
-                if self.admission.may_degrade:
-                    # Degraded requests carry their own method, so
-                    # prefill must run the per-request-method path.
-                    self._kv_enabled = True
-            n_p, n_d = len(self._prefill), len(self._decode)
-            init_p, init_d = self.autoscaler.initial(n_p, n_d)
-            self._target_p = min(max(1, int(init_p)), n_p)
-            self._target_d = min(max(1, int(init_d)), n_d)
-            # The un-powered tail starts off — initial state, no events.
-            for r in self._prefill[self._target_p:]:
-                r.state = "off"
-            for d in self._decode[self._target_d:]:
-                d.state = "off"
-            self._record_replicas(0.0)
+        n_p, n_d = len(self._prefill), len(self._decode)
+        init_p, init_d = self.autoscaler.initial(n_p, n_d)
+        self._target_p = min(max(1, int(init_p)), n_p)
+        self._target_d = min(max(1, int(init_d)), n_d)
+        # The un-powered tail starts off — initial state, no events.
+        for r in self._prefill[self._target_p:]:
+            r.state = "off"
+        for d in self._decode[self._target_d:]:
+            d.state = "off"
+        self._record_replicas(0.0)
+
+        # Artifact shape only, fixed here from the config: records carry
+        # the per-request method keys when a store, a selection policy
+        # or a degrading admission policy is configured, and the summary
+        # carries a ``faults`` / ``elastic`` block when that subsystem
+        # is.  Neither flag chooses a code path.
+        self._stamp_methods = (self.kvstore is not None
+                               or self.selection is not None
+                               or self.admission.may_degrade)
+        self._report_elastic = (config.autoscaler is not None
+                                or config.admission is not None)
 
     # -- public API ----------------------------------------------------------
 
@@ -1001,9 +1011,8 @@ class Simulator:
             self._push(t, "fault", (kind, payload))
         # The autoscaler's evaluation loop starts one interval in and
         # re-arms itself while requests are outstanding; ``static``
-        # opts out entirely, so an armed-but-idle run replays the exact
-        # event sequence of an unarmed one.
-        if self._elastic_enabled and self.autoscaler.evaluates:
+        # opts out entirely and adds no events.
+        if self.autoscaler.evaluates:
             self._push(self.autoscaler.interval_s(), "elastic_eval", None)
         for tr in self.trace:
             self._push(tr.arrival_s, "arrival", SimRequest(trace=tr))
@@ -1022,7 +1031,7 @@ class Simulator:
         if self.selection is not None:
             mix = {tier: dict(sorted(counts.items()))
                    for tier, counts in sorted(self._selection_mix.items())}
-        elastic = self._elastic_stats() if self._elastic_enabled else None
+        elastic = self._elastic_stats() if self._report_elastic else None
         return SimulationResult(requests=self._finished,
                                 elastic_stats=elastic,
                                 peak_memory_fraction=peak,
@@ -1033,7 +1042,7 @@ class Simulator:
                                 selection_mix=mix,
                                 rejected_requests=self._rejected,
                                 failed_requests=self._failed,
-                                faulted=self._faults_enabled)
+                                faulted=self.faults is not None)
 
     # -- event handlers --------------------------------------------------------
 
@@ -1041,37 +1050,33 @@ class Simulator:
         # Admission judges every fresh arrival exactly once; crash
         # re-dispatches and retries bypass it (the request was already
         # admitted).
-        if self.admission is not None:
-            verdict = self.admission.admit(now, req, self)
-            if verdict == "shed":
-                req.rejected = True
-                self._n_shed += 1
-                self._rejected.append(req)
-                self._last_terminal_t = max(self._last_terminal_t, now)
-                return
-            if verdict is not None:
-                if verdict.name != self.method.name:
-                    self._n_degraded += 1
-                req.admitted_method = verdict
+        verdict = self.admission.admit(now, req, self)
+        if verdict == "shed":
+            req.rejected = True
+            self._n_shed += 1
+            self._rejected.append(req)
+            self._last_terminal_t = max(self._last_terminal_t, now)
+            return
+        if verdict is not None:
+            if verdict.name != self.method.name:
+                self._n_degraded += 1
+            req.admitted_method = verdict
         self._dispatch_to_prefill(now, req)
 
     def _dispatch_to_prefill(self, now: float, req: SimRequest) -> None:
         replicas = self._prefill
         mapping = None
-        if self._faults_enabled or self._elastic_enabled:
-            up = [i for i, r in enumerate(self._prefill)
-                  if r.up and r.state == "on"]
-            if not up:
-                # Whole prefill fleet down (or booting): park the
-                # request until a repair or boot completes (never
-                # silently dropped).
-                self._pending_dispatch.append(req)
-                return
-            if len(up) < len(self._prefill):
-                # Dispatch sees only the live replicas; indices map
-                # back to fleet positions afterwards.
-                replicas = [self._prefill[i] for i in up]
-                mapping = up
+        up = [i for i, r in enumerate(replicas) if r.up and r.state == "on"]
+        if not up:
+            # Whole prefill fleet down (or booting): park the request
+            # until a repair or boot completes (never silently dropped).
+            self._pending_dispatch.append(req)
+            return
+        if len(up) < len(replicas):
+            # Dispatch sees only the live replicas; indices map back to
+            # fleet positions afterwards.
+            replicas = [replicas[i] for i in up]
+            mapping = up
         idx = self.dispatch.choose(now, req, replicas)
         if not 0 <= idx < len(replicas):
             raise ValueError(
@@ -1092,10 +1097,21 @@ class Simulator:
         """Serve a batch of queued prompts in one forward pass.
 
         Requests are taken FIFO while their summed prompt length fits
-        the token budget (a long prompt always runs alone).  The pass
-        costs the linear-layer time of the *summed* tokens plus each
-        request's own quadratic attention term — the vLLM batched-
-        prefill cost model.
+        the token budget (a long prompt always runs alone).  Per
+        request: the admission verdict, else the selection policy, else
+        the scenario method fixes its compression method; a configured
+        prefix cache is probed for the request's shareable prefix
+        (clamped so at least one prompt token always prefills), and the
+        matched fraction of prefill compute is *skipped* — replaced by
+        the owning tier's read time.  The pass costs the linear-layer
+        time of the summed *effective* (uncached) tokens plus each
+        request's own attention and quantization on its effective
+        tokens (the vLLM batched-prefill cost model), plus the tier
+        reads.  A request's own read accrues to its ``comm`` bucket;
+        everything else it waits through is ``prefill``, bar its own
+        quantization share (per-token work).  The decode-side batch
+        cost model keeps the scenario method (see
+        :mod:`repro.kvstore.selection`).
         """
         replica = self._prefill[idx]
         batch = [replica.queue.popleft()]
@@ -1109,44 +1125,6 @@ class Simulator:
             total_tokens += nxt.trace.input_len
 
         replica.current = batch
-        if self._kv_enabled:
-            batch_s = self._kv_prefill_batch(now, replica, batch)
-        else:
-            joint = prefill_time(self.spec, replica.res, total_tokens,
-                                 self.method, self.calib)
-            per_request = [
-                prefill_time(self.spec, replica.res, req.trace.input_len,
-                             self.method, self.calib)
-                for req in batch
-            ]
-            batch_s = (joint.linear_s + joint.quantize_s
-                       + sum(b.attention_s for b in per_request))
-            for req, own in zip(batch, per_request):
-                req.prefill_start = now
-                # Each request experiences the whole pass; the
-                # quantization share is its own (it is per-token work).
-                req.prefill_s = batch_s - own.quantize_s
-                req.quant_s = own.quantize_s
-        self._push(now + batch_s, "prefill_done",
-                   (idx, replica.epoch, batch))
-
-    def _kv_prefill_batch(self, now: float, replica: _PrefillReplica,
-                          batch: list) -> float:
-        """KV-store-aware prefill pass: select, look up, skip, charge.
-
-        Per request: the selection policy (or the scenario method)
-        fixes its compression method; the prefix cache is probed for
-        the request's shareable prefix (clamped so at least one prompt
-        token always prefills), and the matched fraction of prefill
-        compute is *skipped* — replaced by the owning tier's read time.
-        The pass then costs the joint linear time of the summed
-        *effective* (uncached) tokens, each request's own attention and
-        quantization on its effective tokens, plus the tier reads.  A
-        request's own read accrues to its ``comm`` bucket; everything
-        else it waits through is ``prefill`` (same convention as the
-        historical path).  Note the decode-side batch cost model keeps
-        the scenario method (see :mod:`repro.kvstore.selection`).
-        """
         plan = []
         total_eff = 0
         for req in batch:
@@ -1158,7 +1136,8 @@ class Simulator:
                 method = self.selection.choose(now, req, self)
             else:
                 method = self.method
-            req.method = method
+            if self._stamp_methods:
+                req.method = method
             if self.selection is not None:
                 tier_key = str(req.trace.slo_tier)
                 counts = self._selection_mix.setdefault(tier_key, {})
@@ -1180,23 +1159,24 @@ class Simulator:
                 req.cache_tier = hit.tier
             eff = req.trace.input_len - req.prefix_hit_tokens
             total_eff += eff
-            plan.append((req, method, eff))
+            plan.append((method, eff))
         joint = prefill_time(self.spec, replica.res, total_eff,
                              self.method, self.calib)
         per_request = [
             prefill_time(self.spec, replica.res, eff, method, self.calib)
-            for _, method, eff in plan
+            for method, eff in plan
         ]
         batch_s = (joint.linear_s
                    + sum(b.quantize_s for b in per_request)
                    + sum(b.attention_s for b in per_request)
-                   + sum(req.cache_read_s for req, _, _ in plan))
-        for (req, _, _), own in zip(plan, per_request):
+                   + sum(req.cache_read_s for req in batch))
+        for req, own in zip(batch, per_request):
             req.prefill_start = now
             req.prefill_s = batch_s - own.quantize_s - req.cache_read_s
             req.quant_s = own.quantize_s
             req.comm_s += req.cache_read_s
-        return batch_s
+        self._push(now + batch_s, "prefill_done",
+                   (idx, replica.epoch, batch))
 
     def _cache_key(self, req: SimRequest):
         """Prefix-cache key: the session for multi-turn requests (turns
@@ -1227,7 +1207,7 @@ class Simulator:
                     req.method.name, now)
         if replica.queue:
             self._start_prefill(now, idx)
-        elif self._elastic_enabled:
+        else:
             self._maybe_retire(now, "prefill", idx)
         for req in batch:
             self._dispatch_to_decode(now, req)
@@ -1271,9 +1251,7 @@ class Simulator:
                 # dropped after prefill and never reaches decode.
                 req.rejected = True
                 self._rejected.append(req)
-                if self._elastic_enabled:
-                    self._last_terminal_t = max(self._last_terminal_t,
-                                                now)
+                self._last_terminal_t = max(self._last_terminal_t, now)
             return
         self._begin_transfer(now, req, target)
 
@@ -1299,14 +1277,13 @@ class Simulator:
         nic_wait = start - now
         src_gbps = nic.res.network_gbps
         dst_gbps = self.dec_res.network_gbps
-        if self._faults_enabled:
-            # An active NIC brownout scales both endpoints' bandwidth
-            # for the whole transfer (the factor at transfer start
-            # applies end to end — a documented simplification).
-            factor = self._nic_factor()
-            if factor != 1.0:
-                src_gbps *= factor
-                dst_gbps *= factor
+        # An active NIC brownout scales both endpoints' bandwidth for the
+        # whole transfer (the factor at transfer start applies end to
+        # end — a documented simplification).
+        factor = self._nic_factor()
+        if factor != 1.0:
+            src_gbps *= factor
+            dst_gbps *= factor
         full = self.net.transfer_time(nbytes, src_gbps, dst_gbps,
                                       via_cpu=req.swapped).seconds
         nic.nic_free_at = start + full
@@ -1324,22 +1301,20 @@ class Simulator:
             done = start + full
             comm_added = nic_wait + full
         req.comm_s += comm_added
-        if self._faults_enabled:
-            self._inflight[req.request_id] = (req, comm_added)
-            if self._transfer_fail_p > 0.0 and float(
-                    self._fault_rng.random()) < self._transfer_fail_p:
-                # The flap surfaces when the transfer would have landed
-                # (the failed attempt held the NIC either way).
-                self._push(done, "transfer_fail", (req, req.attempt))
-                return
+        self._inflight[req.request_id] = (req, comm_added)
+        if self._transfer_fail_p > 0.0 and float(
+                self._fault_rng.random()) < self._transfer_fail_p:
+            # The flap surfaces when the transfer would have landed (the
+            # failed attempt held the NIC either way).
+            self._push(done, "transfer_fail", (req, req.attempt))
+            return
         self._push(done, "transfer_done", (req, req.attempt))
 
     def _on_transfer_done(self, now: float, payload) -> None:
         req, attempt = payload
         if req.attempt != attempt:
             return             # a crash already recovered this attempt
-        if self._faults_enabled:
-            self._inflight.pop(req.request_id, None)
+        self._inflight.pop(req.request_id, None)
         req.transfer_end = now
         req.decode_start = now
         idx = req.decode_replica
@@ -1542,10 +1517,9 @@ class Simulator:
                     req.method.kv_wire_bytes_per_value),
                 req.method.name, now)
         self._finished.append(req)
-        if self._elastic_enabled:
-            self._last_terminal_t = max(self._last_terminal_t, now)
-            if req.decode_replica >= 0:
-                self._maybe_retire(now, "decode", req.decode_replica)
+        self._last_terminal_t = max(self._last_terminal_t, now)
+        if req.decode_replica >= 0:
+            self._maybe_retire(now, "decode", req.decode_replica)
 
     def _admit_pending(self, now: float) -> None:
         still_waiting: deque = deque()
@@ -1600,7 +1574,7 @@ class Simulator:
         requests to the cheaper compression method exactly like
         store/NIC pressure does (graceful degradation).
         """
-        if not self._faults_enabled or not self._decode:
+        if not self._decode:
             return 0.0
         down = sum(1 for d in self._decode if not d.up)
         return down / len(self._decode)
@@ -1652,10 +1626,9 @@ class Simulator:
         self._pending_dispatch = deque()
         for req in pending:
             self._dispatch_to_prefill(now, req)
-        if self._elastic_enabled:
-            # A crash emptied this replica; if it was draining it can
-            # retire now that it is repaired-and-idle.
-            self._maybe_retire(now, "prefill", idx)
+        # A crash emptied this replica; if it was draining it can retire
+        # now that it is repaired-and-idle.
+        self._maybe_retire(now, "prefill", idx)
 
     def _decode_down(self, now: float, idx: int) -> None:
         decode = self._decode[idx]
@@ -1718,8 +1691,7 @@ class Simulator:
             return
         decode.up = True
         self._admit_pending(now)
-        if self._elastic_enabled:
-            self._maybe_retire(now, "decode", idx)
+        self._maybe_retire(now, "decode", idx)
 
     def _unsettle_boundary_iteration(self, decode: _DecodeReplica) -> None:
         """Un-credit the boundary iteration a crash interrupted.
@@ -1760,9 +1732,8 @@ class Simulator:
         req.wasted_compute_s += comm
         self._recover(now, req, lost_kv=False)
         self._admit_pending(now)
-        if self._elastic_enabled:
-            # The flap may have freed a draining replica's last bytes.
-            self._maybe_retire(now, "decode", target)
+        # The flap may have freed a draining replica's last bytes.
+        self._maybe_retire(now, "decode", target)
 
     def _recover(self, now: float, req: SimRequest, lost_kv: bool,
                  wasted_s: float | None = None) -> None:
@@ -1785,8 +1756,7 @@ class Simulator:
         if delay is None:
             req.failed = True
             self._failed.append(req)
-            if self._elastic_enabled:
-                self._last_terminal_t = max(self._last_terminal_t, now)
+            self._last_terminal_t = max(self._last_terminal_t, now)
             return
         req.n_retries = attempt
         self._push(now + delay, "retry", (req, req.attempt, lost_kv))
@@ -2009,7 +1979,7 @@ class Simulator:
             "autoscaler": self.config.autoscaler.canonical()
             if self.config.autoscaler is not None else DEFAULT_AUTOSCALER,
             "admission": self.config.admission.canonical()
-            if self.config.admission is not None else "accept_all",
+            if self.config.admission is not None else DEFAULT_ADMISSION,
             "n_scale_ups": sum(1 for ev in self._scale_events
                                if ev[2] in ("boot", "undrain")),
             "n_scale_downs": sum(1 for ev in self._scale_events

@@ -66,9 +66,10 @@ class SimRequest:
     kv_access_s: float = 0.0   # subset of decode_s: KV reads over HBM
 
     #: KV-store integration (set only when the simulator runs with a
-    #: kvstore and/or selection policy configured; ``method`` is the
-    #: per-request compression method the selection layer chose — the
-    #: scenario method when no selection policy is active).
+    #: kvstore, a selection policy or a degrading admission policy
+    #: configured; ``method`` is the per-request compression method
+    #: prefill ran — the scenario method when neither selection nor
+    #: admission chose another).
     method: Method | None = None
     #: Method the admission layer degraded this request to at arrival
     #: (elastic admission control; ``None`` when admitted at full
@@ -324,13 +325,14 @@ class SimRequest:
         Keys are stable: downstream tooling (``repro.api.artifact``,
         ``repro.cli export``) depends on them.  Schema v2 added the
         serving metrics (``ttft_s``, ``tbt_*``, ``normalized_latency_s``)
-        on top of the v1 keys.  When the simulator runs with a KV store
-        / selection policy (schema v3 runs), four extra keys appear —
-        ``method_selected``, ``prefix_hit_tokens``, ``cache_read_s``,
-        ``cache_tier`` — on every record (the engine stamps ``method``
-        on all requests in that mode, so record shape stays uniform
-        within a run).  Schema v4 records *every* terminal request —
-        finished, rejected and failed — with a ``terminal`` key plus
+        on top of the v1 keys.  When the simulator runs with a KV
+        store, a selection policy or a degrading admission policy
+        (schema v3 runs), four extra keys appear — ``method_selected``,
+        ``prefix_hit_tokens``, ``cache_read_s``, ``cache_tier`` — on
+        every record (the engine stamps ``method`` on all requests in
+        that mode, so record shape stays uniform within a run).
+        Schema v4 records *every* terminal request — finished, rejected
+        and failed — with a ``terminal`` key plus
         reliability accounting (``n_retries``, ``wasted_compute_s``,
         ``recovered``); the completion-dependent keys (``jct_s``,
         ``decomposition_s``, ``tbt_*``, …) appear only on finished

@@ -2,8 +2,8 @@
 
 Three layers of guarantees:
 
-* the no-fault path is **byte-identical** to the historical engine —
-  configuring a recovery policy without faults changes nothing;
+* the recovery policy only acts on faults — configuring one without
+  a fault plan changes nothing, byte for byte;
 * under active fault timelines the span fast-forward engine still
   matches the token engine to 1e-9, for every shipped fault family ×
   recovery policy, on both the baseline and HACK methods (crashes
