@@ -1,8 +1,6 @@
 """Runner execution: resolution fidelity, parallel == serial, artifacts."""
 
-import importlib.util
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -225,21 +223,3 @@ class TestPerfRecordJson:
         assert perf["simulated_tokens"] > 0
         assert perf["tokens_per_s"] == 0.0
         assert _strict_json(json.dumps(perf, allow_nan=False)) == perf
-
-    @pytest.mark.parametrize("clock", ["real", "zero"])
-    def test_sim_throughput_bench_json_is_standard(self, clock, request,
-                                                   tmp_path):
-        if clock == "zero":
-            request.getfixturevalue("zero_clock")
-        script = (Path(__file__).resolve().parents[2] / "benchmarks"
-                  / "bench_sim_throughput.py")
-        spec = importlib.util.spec_from_file_location("bench_sim_throughput",
-                                                      script)
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        out = tmp_path / "bench.json"
-        assert bench.main(["--scale", "0.02", "--methods", "baseline,hack",
-                           "--bench-json", str(out)]) == 0
-        record = _strict_json(out.read_text())
-        assert set(record["methods"]) == {"baseline", "hack"}
-        assert "lint_runtime" not in record
