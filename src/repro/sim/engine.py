@@ -1125,7 +1125,7 @@ class Simulator:
             total_tokens += nxt.trace.input_len
 
         replica.current = batch
-        plan = []
+        per_request = []
         total_eff = 0
         for req in batch:
             if req.admitted_method is not None:
@@ -1159,13 +1159,10 @@ class Simulator:
                 req.cache_tier = hit.tier
             eff = req.trace.input_len - req.prefix_hit_tokens
             total_eff += eff
-            plan.append((method, eff))
+            per_request.append(prefill_time(self.spec, replica.res, eff,
+                                            method, self.calib))
         joint = prefill_time(self.spec, replica.res, total_eff,
                              self.method, self.calib)
-        per_request = [
-            prefill_time(self.spec, replica.res, eff, method, self.calib)
-            for method, eff in plan
-        ]
         batch_s = (joint.linear_s
                    + sum(b.quantize_s for b in per_request)
                    + sum(b.attention_s for b in per_request)
@@ -1277,11 +1274,11 @@ class Simulator:
         nic_wait = start - now
         src_gbps = nic.res.network_gbps
         dst_gbps = self.dec_res.network_gbps
-        # An active NIC brownout scales both endpoints' bandwidth for the
-        # whole transfer (the factor at transfer start applies end to
-        # end — a documented simplification).
-        factor = self._nic_factor()
-        if factor != 1.0:
+        if self._nic_factors:
+            # An active NIC brownout scales both endpoints' bandwidth
+            # for the whole transfer (the factor at transfer start
+            # applies end to end — a documented simplification).
+            factor = self._nic_factor()
             src_gbps *= factor
             dst_gbps *= factor
         full = self.net.transfer_time(nbytes, src_gbps, dst_gbps,
