@@ -1250,11 +1250,11 @@ class Simulator:
                 self._rejected.append(req)
                 self._last_terminal_t = max(self._last_terminal_t, now)
             return
-        self._begin_transfer(now, req, target)
+        self._begin_transfer(now, req, target, reserve)
 
-    def _begin_transfer(self, now: float, req: SimRequest, target: int) -> None:
+    def _begin_transfer(self, now: float, req: SimRequest, target: int,
+                        reserve: float) -> None:
         decode = self._decode[target]
-        reserve = self._request_bytes(req)
         decode.used_bytes += reserve
         decode.peak_bytes = max(decode.peak_bytes, decode.used_bytes)
         decode.queued_tokens += req.trace.total_len
@@ -1525,7 +1525,7 @@ class Simulator:
             reserve = self._request_bytes(req)
             target = self._choose_placement(now, req, reserve)
             if target is not None:
-                self._begin_transfer(now, req, target)
+                self._begin_transfer(now, req, target, reserve)
             else:
                 still_waiting.append(req)
         self._pending_swap = still_waiting
