@@ -22,6 +22,7 @@ from repro.methods import (
     resolve_method,
     split_method_list,
 )
+from repro.methods.spec import _LEGACY, method_families
 
 
 class TestParseAndCanonical:
@@ -219,6 +220,15 @@ class TestLegacyGolden:
     def test_legacy_names_canonicalize_to_themselves(self):
         for name in legacy_names():
             assert canonical_method(name) == name
+
+    def test_no_legacy_alias_shadows_another_family(self):
+        """parse_method resolves legacy aliases before families, so an
+        alias spelled like a registered family must name that family,
+        or the family becomes unreachable by its own name."""
+        families = method_families()
+        for alias, entry in _LEGACY.items():
+            if alias in families:
+                assert entry.spec.family == alias, alias
 
     def test_grammar_spec_equals_legacy_values(self):
         assert resolve_method("hack?pi=128") == get_method("hack_pi128")

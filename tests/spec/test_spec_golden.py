@@ -94,6 +94,9 @@ FIELDS = ("methods", "arrival", "scheduler", "kvstore", "selection",
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_family_canonicals_and_signatures(field):
+    from repro.api.fields import FIELDS_BY_NAME
+
+    parse = FIELDS_BY_NAME[field].spec.parse
     canonical, registries = _grammars()[field]
     pinned = _golden()["families"][field]
     for key, enumerate_families in registries:
@@ -103,6 +106,12 @@ def test_family_canonicals_and_signatures(field):
         got = _family_rows(canonical,
                            {name: live[name] for name in expected})
         assert got == expected
+        # The canonical form is a fixed point of the grammar, for the
+        # bare name and the full default signature alike.
+        for name, row in got.items():
+            for text in (name, row["signature"]):
+                assert parse(canonical(text)) == parse(text), text
+                assert canonical(canonical(text)) == canonical(text), text
 
 
 @pytest.mark.parametrize("field", FIELDS)
