@@ -5,9 +5,11 @@ sweep-axis labels, so they must never drift.  ``spec_golden.json``
 pins, for the built-in families of all eleven registries:
 
 * ``canonical`` of the bare family name and of its full default
-  signature, and the ``signature()`` itself;
+  signature, and the ``signature()`` itself (both must also be fixed
+  points: ``parse(canonical(t)) == parse(t)``);
 * the canonical form of every spec string used in ``tests/``,
-  ``examples/`` and the CI smoke commands;
+  ``examples/`` and the CI smoke commands (a string used there but not
+  pinned fails);
 * the exact ``python -m repro.cli list --json`` output.
 
 Regenerate (only for a deliberate, reviewed grammar change) with
@@ -22,47 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.fields import SPEC_FIELDS
+from repro.spec import split_list
+
 GOLDEN = Path(__file__).with_name("spec_golden.json")
 ROOT = Path(__file__).resolve().parents[2]
-
-
-def _grammars():
-    """field -> (canonical, [(registry, enumerator)])."""
-    from repro.kvstore.selection import canonical_selection, \
-        selection_policies
-    from repro.kvstore.spec import canonical_kvstore, eviction_policies, \
-        kvstore_families
-    from repro.methods import canonical_method, method_families
-    from repro.sim.elastic import admission_policies, \
-        autoscaler_policies, canonical_admission, canonical_autoscaler
-    from repro.sim.faults import canonical_faults, fault_families
-    from repro.sim.recovery import canonical_recovery, recovery_policies
-    from repro.sim.scheduling import canonical_scheduler, \
-        dispatch_policies, placement_policies
-    from repro.workload.arrivals import arrival_processes, \
-        canonical_arrival
-
-    return {
-        "methods": (canonical_method,
-                    [("method_families", method_families)]),
-        "arrival": (canonical_arrival,
-                    [("arrival_processes", arrival_processes)]),
-        "scheduler": (canonical_scheduler,
-                      [("dispatch_policies", dispatch_policies),
-                       ("placement_policies", placement_policies)]),
-        "kvstore": (canonical_kvstore,
-                    [("kvstore_families", kvstore_families),
-                     ("eviction_policies", eviction_policies)]),
-        "selection": (canonical_selection,
-                      [("selection_policies", selection_policies)]),
-        "faults": (canonical_faults, [("fault_families", fault_families)]),
-        "recovery": (canonical_recovery,
-                     [("recovery_policies", recovery_policies)]),
-        "autoscaler": (canonical_autoscaler,
-                       [("autoscaler_policies", autoscaler_policies)]),
-        "admission": (canonical_admission,
-                      [("admission_policies", admission_policies)]),
-    }
 
 
 def _family_rows(canonical, families: dict) -> dict:
@@ -88,21 +54,17 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-FIELDS = ("methods", "arrival", "scheduler", "kvstore", "selection",
-          "faults", "recovery", "autoscaler", "admission")
+FIELDS = tuple(spec_field.name for spec_field in SPEC_FIELDS)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_family_canonicals_and_signatures(field):
-    from repro.api.fields import FIELDS_BY_NAME
-
-    parse = FIELDS_BY_NAME[field].spec.parse
-    canonical, registries = _grammars()[field]
-    pinned = _golden()["families"][field]
-    for key, enumerate_families in registries:
-        live = enumerate_families()
-        expected = pinned[key]
-        assert set(expected) <= set(live), key
+@pytest.mark.parametrize("spec_field", SPEC_FIELDS, ids=FIELDS)
+def test_family_canonicals_and_signatures(spec_field):
+    canonical, parse = spec_field.spec.canonical_of, spec_field.spec.parse
+    pinned = _golden()["families"][spec_field.name]
+    for registry in spec_field.registries:
+        live = registry.catalog()
+        expected = pinned[registry.key]
+        assert set(expected) <= set(live), registry.key
         got = _family_rows(canonical,
                            {name: live[name] for name in expected})
         assert got == expected
@@ -114,11 +76,17 @@ def test_family_canonicals_and_signatures(field):
                 assert canonical(canonical(text)) == canonical(text), text
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_used_spec_strings_canonicalize_unchanged(field):
-    canonical, _ = _grammars()[field]
-    pinned = _golden()["strings"][field]
+@pytest.mark.parametrize("spec_field", SPEC_FIELDS, ids=FIELDS)
+def test_used_spec_strings_canonicalize_unchanged(spec_field):
+    canonical = spec_field.spec.canonical_of
+    pinned = _golden()["strings"][spec_field.name]
     assert {text: canonical(text) for text in pinned} == pinned
+
+
+def test_every_used_spec_string_is_pinned():
+    pinned = _golden()["strings"]
+    for field, found in _used_strings().items():
+        assert not set(found) - set(pinned[field]), field
 
 
 def test_cli_list_json_is_byte_identical():
@@ -155,43 +123,35 @@ def _collect_strings() -> set:
     return out
 
 
-def _snapshot() -> dict:
-    from repro.kvstore.selection import split_selection_list
-    from repro.kvstore.spec import split_kvstore_list
-    from repro.methods import split_method_list
-    from repro.sim.elastic import split_admission_list, \
-        split_autoscaler_list
-    from repro.sim.faults import split_faults_list
-    from repro.sim.recovery import split_recovery_list
-    from repro.sim.scheduling import split_scheduler_list
-    from repro.workload.arrivals import split_arrival_list
-
-    splitters = {
-        "methods": split_method_list, "arrival": split_arrival_list,
-        "scheduler": split_scheduler_list, "kvstore": split_kvstore_list,
-        "selection": split_selection_list, "faults": split_faults_list,
-        "recovery": split_recovery_list,
-        "autoscaler": split_autoscaler_list,
-        "admission": split_admission_list,
-    }
-    families, strings = {}, {}
-    literals = _collect_strings()
-    for field, (canonical, registries) in _grammars().items():
-        families[field] = {key: _family_rows(canonical, enum())
-                           for key, enum in registries}
+def _used_strings() -> dict:
+    """field -> {spec string found by :func:`_collect_strings`: its
+    canonical form}."""
+    literals = sorted(_collect_strings())
+    strings = {}
+    for spec_field in SPEC_FIELDS:
         found = {}
-        for literal in sorted(literals):
-            candidates = {literal, *splitters[field](literal)}
-            if field == "methods":
+        for literal in literals:
+            candidates = {literal, *split_list(literal)}
+            if spec_field.name == "methods":
                 candidates |= {m for c in set(candidates)
                                for m in c.split("+")}
             for text in sorted(candidates):
                 try:
-                    found[text] = canonical(text)
+                    found[text] = spec_field.spec.canonical_of(text)
                 except (ValueError, TypeError, KeyError):
                     pass
-        strings[field] = found
-    return {"families": families, "strings": strings,
+        strings[spec_field.name] = found
+    return strings
+
+
+def _snapshot() -> dict:
+    families = {
+        spec_field.name: {
+            registry.key: _family_rows(spec_field.spec.canonical_of,
+                                       registry.catalog())
+            for registry in spec_field.registries}
+        for spec_field in SPEC_FIELDS}
+    return {"families": families, "strings": _used_strings(),
             "cli_list_json": _cli_list_json()}
 
 
