@@ -593,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     lst.set_defaults(func=_cmd_list)
 
     lint = sub.add_parser("lint", help="run the repo invariant checker "
-                          "(determinism, registry hygiene, schema "
-                          "discipline)")
+                          "(determinism, frozen specs, schema "
+                          "discipline, general safety)")
     add_lint_arguments(lint)
     lint.set_defaults(func=run_lint_from_args)
 

@@ -1,10 +1,9 @@
 """``repro.lint``: an AST-based invariant checker for this repo.
 
 The codebase rests on conventions nothing else enforces — bit-level
-determinism, eleven open ``family?k=v`` registries whose names must
-stay unique and whose grammar must round-trip, and schema-versioned
-artifacts where a key change without a version bump silently breaks
-``compare``.
+determinism, frozen ``*Spec`` values, float comparisons that can
+actually hold, and schema-versioned artifacts where a key change
+without a version bump silently breaks ``compare``.
 This package turns those conventions into machine-checked law: a
 pluggable rule registry (:func:`~repro.lint.core.register_rule`) over a
 shared AST framework, per-rule codes, ``# repro: lint-ignore[CODE]``

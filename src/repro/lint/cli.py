@@ -10,7 +10,8 @@
     python -m repro.lint.cli path/to/file.py --no-baseline
     python -m repro.lint.cli --list-rules
 
-Exit status 1 means new (non-baselined, non-suppressed) findings.
+Exit status 1 means new (non-baselined, non-suppressed) findings, and
+2 a ``--select`` prefix that matches no registered rule.
 The same flags hang off the main CLI as ``hack-repro lint``.
 """
 
@@ -80,13 +81,17 @@ def run_from_args(args) -> int:
 
     select = tuple(s.strip() for s in args.select.split(",")
                    if s.strip()) if args.select else ()
-    result = run_lint(
-        root,
-        paths=args.paths or None,
-        baseline_path=args.baseline,
-        use_baseline=not (args.no_baseline or args.baseline_update),
-        select=select,
-    )
+    try:
+        result = run_lint(
+            root,
+            paths=args.paths or None,
+            baseline_path=args.baseline,
+            use_baseline=not (args.no_baseline or args.baseline_update),
+            select=select,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.baseline_update:
         path = args.baseline or result.root / BASELINE_NAME
@@ -105,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based invariant checker: determinism, "
-                    "registry hygiene, schema discipline.")
+                    "frozen specs, schema discipline, general safety.")
     add_lint_arguments(parser)
     return run_from_args(parser.parse_args(argv))
 

@@ -6,7 +6,7 @@ machine-checked rules.  A rule is a class registered with
 :func:`register_rule` (the same open-registry idiom the rules police);
 it inspects one file's AST (:meth:`Rule.check_file`) or the whole tree
 at once (:meth:`Rule.check_project`, for cross-file invariants like
-the grammar round-trip) and yields :class:`Finding` objects.
+the artifact schema pin) and yields :class:`Finding` objects.
 
 Suppression is explicit and auditable: a ``# repro: lint-ignore[CODE]``
 comment on the offending line (or on its own line directly above)

@@ -1,8 +1,8 @@
 """General-safety rules: the slow-burn bug classes review keeps missing.
 
-Mutable default arguments alias state across calls (REPRO601); a bare
-``except:`` swallows KeyboardInterrupt and SystemExit along with the
-bug it was papering over (REPRO603).  The two float rules are scoped
+Mutable default arguments alias state across calls (REPRO601).  (A
+bare ``except:`` is ruff's E722, which CI's ``ruff check`` selects.)
+The two float rules are scoped
 and deliberately narrow: they flag equality against a float literal
 only when the decimal text is *not exactly representable* in binary
 (``x == 0.3`` can only pass by double-rounding coincidence), while the
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ..core import FileContext, Rule, register_rule
 
-__all__ = ["MutableDefaultRule", "FloatEqualitySimRule", "BareExceptRule",
+__all__ = ["MutableDefaultRule", "FloatEqualitySimRule",
            "FloatAssertTestRule", "is_exact_float_literal"]
 
 
@@ -115,25 +115,6 @@ class FloatEqualitySimRule(Rule):
                     f"float equality against {text} (not exactly "
                     "representable in binary); compare against a "
                     "tolerance or a dyadic constant")
-
-
-@register_rule
-class BareExceptRule(Rule):
-    code = "REPRO603"
-    name = "bare-except"
-    description = (
-        "a bare `except:` swallows KeyboardInterrupt/SystemExit; "
-        "catch Exception or the specific error")
-
-    def check_file(self, ctx: FileContext):
-        if ctx.tree is None:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield ctx.finding(
-                    self, node,
-                    "bare `except:`; name the exception type (at "
-                    "broadest, `except Exception`)")
 
 
 @register_rule

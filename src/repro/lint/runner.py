@@ -126,13 +126,21 @@ def run_lint(root: Path | None = None, *,
     """Lint the repo (or ``paths``) and gate against the baseline.
 
     ``select`` restricts to rule codes with any of the given prefixes
-    (e.g. ``("REPRO1", "REPRO604")``); project rules only run on
+    (e.g. ``("REPRO1", "REPRO604")``); a prefix that matches no
+    registered code raises ``ValueError``.  Project rules only run on
     whole-repo walks.
     """
+    rules = lint_rules()
+    unmatched = [prefix for prefix in select
+                 if not any(code.startswith(prefix) for code in rules)]
+    if unmatched:
+        raise ValueError(
+            f"rule-code prefix {', '.join(map(repr, unmatched))} matches "
+            f"no rule; registered: {', '.join(sorted(rules))}")
     root = discover_root(root)
     files = collect_files(root, paths)
     project = ProjectContext(root, files)
-    active = [rule for rule in lint_rules().values()
+    active = [rule for rule in rules.values()
               if not select or rule.code.startswith(tuple(select))]
 
     raw: list[Finding] = []

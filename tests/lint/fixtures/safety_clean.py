@@ -15,13 +15,6 @@ def close_enough(a):
     return a == 0.5 or math.isclose(a, 0.3, rel_tol=1e-12)
 
 
-def parse(raw):
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
 def check(result):
     assert result == 0.25  # dyadic, therefore exact
     assert math.isclose(result, 1e-9, rel_tol=1e-12)

@@ -1,30 +1,13 @@
 """spec_hygiene_violation.py with each finding pragma-suppressed.
 
-REPRO201/202 anchor at the ``class`` statement (not its decorators),
-so the standalone pragmas sit between decorator and class line.
+REPRO201 anchors at the ``class`` statement (not its decorators), so
+the standalone pragma sits between decorator and class line.
 """
 
 from dataclasses import dataclass
-
-
-def register_family(name):
-    def wrap(cls):
-        return cls
-    return wrap
 
 
 @dataclass
 # repro: lint-ignore[REPRO201] mutated in-place by a legacy shim
 class MutableSpec:
     bits: int = 4
-
-
-@register_family("dup")
-class FirstMethod:
-    pass
-
-
-@register_family("dup")
-# repro: lint-ignore[REPRO202] second registration is shadow-tested
-class SecondMethod:
-    pass

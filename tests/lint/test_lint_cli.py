@@ -22,17 +22,29 @@ class TestExitCodes:
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for expected in ("REPRO101", "REPRO201", "REPRO301", "REPRO501",
-                         "REPRO601"):
-            assert expected in out
+        codes = [line.split()[0] for line in
+                 capsys.readouterr().out.splitlines()
+                 if line.startswith("REPRO")]
+        assert codes == ["REPRO101", "REPRO102", "REPRO103", "REPRO201",
+                         "REPRO501", "REPRO601", "REPRO602", "REPRO604"]
 
     def test_select_flag(self, fixtures_dir, capsys):
         code = main([str(fixtures_dir / "safety_violation.py"),
-                     "--no-baseline", "--select", "REPRO603"])
+                     "--no-baseline", "--select", "REPRO604"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "REPRO603" in out and "REPRO601" not in out
+        assert "REPRO604" in out and "REPRO601" not in out
+
+    def test_select_prefix_matching_no_rule_exits_2(self, fixtures_dir,
+                                                    capsys):
+        code = main([str(fixtures_dir / "safety_violation.py"),
+                     "--no-baseline", "--select", "REPRO1,REPRO999"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'REPRO999'" in captured.err
+        assert "'REPRO1'" not in captured.err
+        assert "REPRO604" in captured.err   # the registered codes
 
 
 class TestJsonOutput:
@@ -75,7 +87,7 @@ class TestReporters:
         result = run_lint(paths=[fixtures_dir / "safety_violation.py"],
                           use_baseline=False)
         text = render_text(result)
-        assert text.splitlines()[-1].startswith("repro lint: 4 findings")
+        assert text.splitlines()[-1].startswith("repro lint: 3 findings")
 
     def test_render_json_round_trips(self, fixtures_dir):
         result = run_lint(paths=[fixtures_dir / "safety_clean.py"],

@@ -35,7 +35,7 @@ class TestRunOnFixture:
         codes = sorted(f.code for f in result.findings)
         # Unscoped rules + REPRO604 (relpath under tests/); REPRO602
         # stays quiet because the file does not live under the engine.
-        assert codes == ["REPRO601", "REPRO601", "REPRO603", "REPRO604"]
+        assert codes == ["REPRO601", "REPRO601", "REPRO604"]
         assert not result.ok
 
     def test_pragma_fixture_is_clean_with_suppressions(self,
@@ -45,7 +45,7 @@ class TestRunOnFixture:
             use_baseline=False)
         assert result.ok
         codes = sorted(f.code for f in result.suppressed)
-        assert codes == ["REPRO601", "REPRO603", "REPRO604"]
+        assert codes == ["REPRO601", "REPRO604"]
 
     def test_select_restricts_rules_and_skips_repro700(self,
                                                        fixtures_dir):
@@ -69,10 +69,10 @@ class TestSyntaxAndPragmaFindings:
 
     def test_unused_pragma_is_repro700(self, tmp_path):
         lonely = tmp_path / "lonely.py"
-        lonely.write_text(f"x = 1  {IGNORE}[REPRO603] nothing here\n")
+        lonely.write_text(f"x = 1  {IGNORE}[REPRO601] nothing here\n")
         result = run_lint(paths=[lonely], use_baseline=False)
         assert [f.code for f in result.findings] == ["REPRO700"]
-        assert "REPRO603" in result.findings[0].message
+        assert "REPRO601" in result.findings[0].message
 
 
 class TestBaseline:

@@ -1,8 +1,7 @@
-"""REPRO201/202: the spec-hygiene rule family."""
+"""REPRO201: the spec-hygiene rule."""
 
-from repro.lint.core import FileContext, ProjectContext
-from repro.lint.rules.spec_hygiene import (DuplicateRegistrationRule,
-                                           FrozenSpecRule)
+from repro.lint.core import FileContext
+from repro.lint.rules.spec_hygiene import FrozenSpecRule
 
 SRC_PATH = "src/repro/fixture_mod.py"
 
@@ -29,59 +28,9 @@ class TestFrozenSpec:
         assert not rule.applies("tests/methods/test_spec.py")
 
 
-class TestDuplicateRegistration:
-    def _project(self, fixture_ctx, name, relpath=SRC_PATH):
-        ctx = fixture_ctx(name, relpath)
-        return ctx, ProjectContext(root=None, files=[ctx])
-
-    def test_fires_on_violation_fixture(self, fixture_ctx):
-        ctx, project = self._project(fixture_ctx,
-                                     "spec_hygiene_violation.py")
-        findings = list(
-            DuplicateRegistrationRule().check_project(project))
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.code == "REPRO202"
-        assert "'dup'" in f.message and SRC_PATH in f.message
-
-    def test_clean_fixture_passes(self, fixture_ctx):
-        _, project = self._project(fixture_ctx, "spec_hygiene_clean.py")
-        assert list(
-            DuplicateRegistrationRule().check_project(project)) == []
-
-    def test_only_src_files_are_scanned(self, fixture_ctx):
-        _, project = self._project(fixture_ctx,
-                                   "spec_hygiene_violation.py",
-                                   relpath="examples/fixture_mod.py")
-        assert list(
-            DuplicateRegistrationRule().check_project(project)) == []
-
-    def test_replace_true_is_exempt(self):
-        src = ("@register_family('x')\nclass A:\n    pass\n\n"
-               "@register_family('x', replace=True)\nclass B:\n"
-               "    pass\n")
-        ctx = FileContext(SRC_PATH, src)
-        project = ProjectContext(root=None, files=[ctx])
-        assert list(
-            DuplicateRegistrationRule().check_project(project)) == []
-
-    def test_class_body_name_attr_is_read(self):
-        src = ("@register_rule\nclass A:\n    name = 'x'\n\n"
-               "@register_rule\nclass B:\n    name = 'x'\n")
-        ctx = FileContext(SRC_PATH, src)
-        project = ProjectContext(root=None, files=[ctx])
-        findings = list(
-            DuplicateRegistrationRule().check_project(project))
-        assert len(findings) == 1
-        assert "lint-rule" in findings[0].message
-
-
 class TestPragmaSuppression:
     def test_every_finding_suppressed(self, fixture_ctx):
         ctx = fixture_ctx("spec_hygiene_pragma.py", SRC_PATH)
-        project = ProjectContext(root=None, files=[ctx])
         findings = list(FrozenSpecRule().check_file(ctx))
-        findings.extend(
-            DuplicateRegistrationRule().check_project(project))
-        assert {f.code for f in findings} == {"REPRO201", "REPRO202"}
+        assert [f.code for f in findings] == ["REPRO201"]
         assert all(ctx.suppresses(f) for f in findings)

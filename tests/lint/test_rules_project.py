@@ -1,70 +1,10 @@
-"""REPRO301/302 (round-trip), REPRO501 (schema)."""
+"""REPRO501: the artifact-schema pin."""
 
 import json
 
 from repro.lint.core import ProjectContext
-from repro.lint.rules.roundtrip import (REGISTRIES,
-                                        CrossRoleUniquenessRule,
-                                        RoundTripRule, check_roundtrip)
 from repro.lint.rules.schema import (SchemaPinRule, extract_schema,
                                      load_pin, write_pin)
-
-
-def _toy_rule(modname):
-    rule = RoundTripRule()
-    rule.table = ((
-        "toy", modname, "toy_families", "parse_toy", "canonical_toy"),)
-    return rule
-
-
-class TestRoundTrip:
-    def test_fires_on_broken_toy_grammar(self, repo_root,
-                                         load_fixture_module):
-        load_fixture_module("roundtrip_violation.py", "lintfix_rt_bad")
-        project = ProjectContext(repo_root, [])
-        findings = list(
-            _toy_rule("lintfix_rt_bad").check_project(project))
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.code == "REPRO301"
-        assert "'bad?p=2'" in f.message
-        assert f.path == "tests/lint/fixtures/roundtrip_violation.py"
-
-    def test_clean_toy_grammar_passes(self, repo_root,
-                                      load_fixture_module):
-        load_fixture_module("roundtrip_clean.py", "lintfix_rt_ok")
-        project = ProjectContext(repo_root, [])
-        assert list(
-            _toy_rule("lintfix_rt_ok").check_project(project)) == []
-
-    def test_pragma_suppresses_at_declaration(self, repo_root,
-                                              load_fixture_module):
-        load_fixture_module("roundtrip_pragma.py", "lintfix_rt_pragma")
-        project = ProjectContext(repo_root, [])
-        findings = list(
-            _toy_rule("lintfix_rt_pragma").check_project(project))
-        assert len(findings) == 1
-        ctx = project.get("tests/lint/fixtures/roundtrip_pragma.py")
-        assert ctx.suppresses(findings[0])
-
-    def test_check_roundtrip_flags_exceptions(self):
-        def parse(text):
-            raise KeyError(text)
-
-        failures = list(check_roundtrip({"x": object()}, parse, str))
-        assert len(failures) == 1
-        assert "KeyError" in failures[0][2]
-
-    def test_live_registries_round_trip(self, repo_root):
-        project = ProjectContext(repo_root, [])
-        assert list(RoundTripRule().check_project(project)) == []
-        assert list(
-            CrossRoleUniquenessRule().check_project(project)) == []
-
-    def test_table_covers_every_live_registry(self):
-        assert len(REGISTRIES) == 11
-        assert len({(mod, enum) for _, mod, enum, _, _
-                    in REGISTRIES}) == 11
 
 
 def _schema_rule(root, pin_name="pin.json"):
