@@ -184,57 +184,10 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
                        help="decode stepping: span (fast-forward, "
                             "default) or token (legacy differential "
                             "path)")
-    group.add_argument("--arrival", default=None,
-                       metavar="PROCESS",
-                       help="arrival process: poisson (default), "
-                            "constant, or a spec like "
-                            "mmpp?burst=4,duty=0.1,dwell=20 "
-                            "(see `list` for families and parameters)")
-    group.add_argument("--scheduler", default=None,
-                       metavar="POLICIES",
-                       help="dispatch/placement policy pair: a policy "
-                            "name (round_robin, best_fit, …), a pair "
-                            "like nic_aware+no_swap, or with parameters "
-                            "random?seed=7 (see `list`; default is the "
-                            "paper's splitwise+shortest_queue)")
-    group.add_argument("--kvstore", default=None,
-                       metavar="STORE",
-                       help="tiered KV store for prefix caching: a spec "
-                            "like tiered?dram_gb=8.0+lfu or a bare "
-                            "eviction name (lru, lfu, ttl?seconds=120) "
-                            "(see `list`; default is no store)")
-    group.add_argument("--selection", default=None,
-                       metavar="POLICY",
-                       help="per-request compression-selection policy: "
-                            "static, slo_tier?tier2=hack_int4, or "
-                            "congestion?hi=0.75,lo=0.5 (see `list`; "
-                            "default keeps one method per cluster)")
-    group.add_argument("--faults", default=None,
-                       metavar="PLAN",
-                       help="fault-injection plan: a family spec like "
-                            "replica_crash?mttf=600,mttr=30 or a '+'-"
-                            "joined composition replica_crash+"
-                            "nic_degrade?factor=0.5 (see `list`; default "
-                            "is no faults)")
-    group.add_argument("--recovery", default=None,
-                       metavar="POLICY",
-                       help="recovery policy for faulted requests: "
-                            "retry?max=3,base_s=1.0, migrate, or none "
-                            "(see `list`; default retry — only active "
-                            "when --faults is set)")
-    group.add_argument("--autoscaler", default=None,
-                       metavar="POLICY",
-                       help="autoscaler policy: static, "
-                            "reactive?queue_hi=8,queue_lo=1, "
-                            "slo?target=0.9, or "
-                            "schedule?plan=0:1.0|450:0.5 (see `list`; "
-                            "default keeps the fixed fleet)")
-    group.add_argument("--admission", default=None,
-                       metavar="POLICY",
-                       help="admission policy: accept_all, "
-                            "shed?queue_max=64, or "
-                            "degrade?tier=1,method=hack_int4 (see "
-                            "`list`; default accepts every arrival)")
+    for spec_field in SPEC_FIELDS:
+        if spec_field.name != "methods":
+            group.add_argument(f"--{spec_field.name}", default=None,
+                               metavar="SPEC", help=spec_field.help)
     group.add_argument("--calib", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="calibration override (repeatable)")

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.api import Scenario
+from repro.api.fields import SPEC_FIELDS
+from repro.cli import (_SCENARIO_FLAG_DEFAULTS, EXPERIMENTS,
+                       _scenario_from_args, build_parser, main)
 from repro.experiments import fig9_12_jct
 
 RUN_FLAGS = ["--dataset", "imdb", "--methods", "baseline,hack",
@@ -24,6 +27,38 @@ class TestList:
         assert "fig9" in catalog["experiments"]
         assert "hack" in catalog["methods"]
         assert "cocktail" in catalog["datasets"]
+
+
+class TestScenarioFlags:
+    @pytest.mark.parametrize("spec_field", SPEC_FIELDS,
+                             ids=lambda spec_field: spec_field.name)
+    def test_spec_field_flag_reaches_its_scenario_field(self, spec_field):
+        """Every SPEC_FIELDS row has a ``--<field>`` flag, and its value
+        lands on that Scenario field."""
+        name = spec_field.name
+        value = next(iter(spec_field.registries[0].catalog()))
+        parser = build_parser()
+        scenario = _scenario_from_args(
+            parser.parse_args(["run", f"--{name}", value]), 1.0)
+        unset = _scenario_from_args(parser.parse_args(["run"]), 1.0)
+        assert getattr(scenario, name) == \
+            getattr(Scenario(**{name: value}), name)
+        assert getattr(scenario, name) != getattr(unset, name)
+
+    def test_flag_defaults_are_unchanged(self):
+        expected = {
+            "model": "L", "methods": "baseline,hack", "dataset": "cocktail",
+            "prefill_gpu": "A10G", "decode_gpu": "A100", "rps": None,
+            "load_factor": None, "n_requests": None, "seed": None,
+            "pipelining": False, "n_prefill_replicas": None,
+            "n_decode_replicas": None, "activation_overhead": None,
+            "step_mode": None, "arrival": None, "scheduler": None,
+            "kvstore": None, "selection": None, "faults": None,
+            "recovery": None, "autoscaler": None, "admission": None,
+            "calib": [],
+        }
+        assert list(_SCENARIO_FLAG_DEFAULTS.items()) == \
+            list(expected.items())
 
 
 class TestRunScenario:
