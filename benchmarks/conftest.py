@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one paper artifact (table or figure),
 prints the reproduced rows/series, and asserts the qualitative shape
-the paper reports.  ``pytest benchmarks/ --benchmark-only`` runs them
-all; each uses a single measured round since the simulations are
+the paper reports.  The files are named ``bench_*.py``, so pytest
+collects them only with
+``PYTHONPATH=src python -m pytest -q -o python_files='bench_*.py' benchmarks/``;
+each uses a single measured round since the simulations are
 deterministic.
 """
 
