@@ -41,13 +41,18 @@ def _family_rows(canonical, families: dict) -> dict:
     return rows
 
 
-def _cli_list_json() -> str:
+def _fresh(*args: str) -> str:
+    """Standard output of ``python *args`` in a fresh interpreter, where
+    only the built-in families are registered (tests register more)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "list", "--json"],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-        check=True).stdout
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, check=True).stdout
+
+
+def _cli_list_json() -> str:
+    return _fresh("-m", "repro.cli", "list", "--json")
 
 
 def _golden() -> dict:
@@ -85,7 +90,8 @@ def test_used_spec_strings_canonicalize_unchanged(spec_field):
 
 def test_every_used_spec_string_is_pinned():
     pinned = _golden()["strings"]
-    for field, found in _used_strings().items():
+    used = json.loads(_fresh(__file__, "--used"))
+    for field, found in used.items():
         assert not set(found) - set(pinned[field]), field
 
 
@@ -159,5 +165,7 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         GOLDEN.write_text(json.dumps(_snapshot(), indent=1,
                                      sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--used"]:
+        print(json.dumps(_used_strings()))
     else:
-        sys.exit("usage: test_spec_golden.py --write")
+        sys.exit("usage: test_spec_golden.py --write | --used")
