@@ -29,7 +29,7 @@ import numpy as np
 from ..core.attention import attention_reference
 from ..core.kv_cache import Fp16KVCache, HackKVCache
 from ..core.rounding import make_rng
-from ..methods.spec import canonical_method, method_spec
+from ..methods.spec import MethodSpec
 from .kv_distributions import (
     K_DISTRIBUTION,
     Q_DISTRIBUTION,
@@ -63,7 +63,7 @@ def attention_error(
     dequantize-first families quantize K/V through their codec and
     attend exactly, which is what their systems compute.
     """
-    spec = method_spec(method)
+    spec = MethodSpec.from_reference(method)
     if spec.is_exact:
         return 0.0
     errors = []
@@ -93,7 +93,7 @@ def measure_errors(
     string.
     """
     return {
-        (canonical_method(m) if isinstance(m, dict) else m):
+        (MethodSpec.canonical_of(m) if isinstance(m, dict) else m):
             attention_error(m, n_tokens=n_tokens, head_dim=head_dim,
                             n_trials=n_trials, seed=seed)
         for m in methods

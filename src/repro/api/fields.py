@@ -5,8 +5,16 @@ field, one ``--<field>`` flag and one sweep axis.  :data:`SPEC_FIELDS`
 maps each field to its spec type, the registries its grammar names and
 its flag's help text.  The scenario's canonicalisation, the CLI's
 ``--<field>`` flags and sweep-axis splitting, the ``cli list`` catalog
-and the spec golden test all iterate this table, so a new registry
-needs one row here and nothing per-field anywhere else.
+and the spec golden test all iterate this table.
+
+A field the simulated cluster consumes (every one but ``methods`` and
+``arrival``) also has a row in
+:data:`repro.sim.engine.CLUSTER_SPEC_FIELDS`, which
+:class:`~repro.sim.engine.ClusterConfig` coerces through and which
+:func:`repro.api.runner.resolve` forwards from the scenario.  So a new
+cluster registry needs a row in both tables, a ``Scenario`` field and a
+``ClusterConfig`` field; ``tests/sim/test_cluster_config.py`` fails
+when the two tables disagree.
 """
 
 from __future__ import annotations
@@ -32,9 +40,6 @@ class SpecField:
 
     #: Scenario field, CLI flag and sweep-axis name.
     name: str
-    #: Stem of the field's public functions: ``parse_<stem>``,
-    #: ``canonical_<stem>``, ``split_<stem>_list``.
-    stem: str
     #: The spec type (``parse``, ``from_reference``, ``canonical_of``,
     #: ``known``).
     spec: type
@@ -65,17 +70,16 @@ class SpecField:
 
 
 SPEC_FIELDS: tuple[SpecField, ...] = (
-    SpecField("methods", "method", MethodSpec, (MethodSpec.registry,),
+    SpecField("methods", MethodSpec, (MethodSpec.registry,),
               "method families (spec grammar: family?key=val,… — "
               "defaults shown)"),
-    SpecField("arrival", "arrival", ArrivalSpec, (ArrivalSpec.registry,),
+    SpecField("arrival", ArrivalSpec, (ArrivalSpec.registry,),
               "arrival processes (--arrival, same grammar — defaults "
               "shown)",
               help="arrival process: poisson (default), constant, or a "
                    "spec like mmpp?burst=4,duty=0.1,dwell=20 (see "
                    "`list` for families and parameters)"),
-    SpecField("scheduler", "scheduler", SchedulerSpec,
-              SchedulerSpec.registries,
+    SpecField("scheduler", SchedulerSpec, SchedulerSpec.registries,
               "scheduling policies (--scheduler dispatch[+placement], "
               "same grammar)",
               help="dispatch/placement policy pair: a policy name "
@@ -83,33 +87,31 @@ SPEC_FIELDS: tuple[SpecField, ...] = (
                    "nic_aware+no_swap, or with parameters random?seed=7 "
                    "(see `list`; default is the paper's "
                    "splitwise+shortest_queue)"),
-    SpecField("kvstore", "kvstore", KVStoreSpec, KVStoreSpec.registries,
+    SpecField("kvstore", KVStoreSpec, KVStoreSpec.registries,
               "KV-store families (--kvstore family?key=val+eviction, "
               "same grammar)",
               help="tiered KV store for prefix caching: a spec like "
                    "tiered?dram_gb=8.0+lfu or a bare eviction name (lru, "
                    "lfu, ttl?seconds=120) (see `list`; default is no "
                    "store)"),
-    SpecField("selection", "selection", SelectionSpec,
-              (SelectionSpec.registry,),
+    SpecField("selection", SelectionSpec, (SelectionSpec.registry,),
               "selection policies (--selection, same grammar)",
               help="per-request compression-selection policy: static, "
                    "slo_tier?tier2=hack_int4, or congestion?hi=0.75,lo=0.5 "
                    "(see `list`; default keeps one method per cluster)"),
-    SpecField("faults", "faults", FaultPlan, FaultPlan.registries,
+    SpecField("faults", FaultPlan, FaultPlan.registries,
               "fault families (--faults family?key=val+family…, same "
               "grammar)", none_unsets=True,
               help="fault-injection plan: a family spec like "
                    "replica_crash?mttf=600,mttr=30 or a '+'-joined "
                    "composition replica_crash+nic_degrade?factor=0.5 "
                    "(see `list`; default is no faults)"),
-    SpecField("recovery", "recovery", RecoverySpec,
-              (RecoverySpec.registry,),
+    SpecField("recovery", RecoverySpec, (RecoverySpec.registry,),
               "recovery policies (--recovery, same grammar)",
               help="recovery policy for faulted requests: "
                    "retry?max=3,base_s=1.0, migrate, or none (see `list`; "
                    "default retry — only active when --faults is set)"),
-    SpecField("autoscaler", "autoscaler", AutoscalerSpec,
+    SpecField("autoscaler", AutoscalerSpec,
               (AutoscalerSpec.registry,),
               "autoscaler policies (--autoscaler, same grammar)",
               none_unsets=True,
@@ -117,8 +119,7 @@ SPEC_FIELDS: tuple[SpecField, ...] = (
                    "reactive?queue_hi=8,queue_lo=1, slo?target=0.9, or "
                    "schedule?plan=0:1.0|450:0.5 (see `list`; default "
                    "keeps the fixed fleet)"),
-    SpecField("admission", "admission", AdmissionSpec,
-              (AdmissionSpec.registry,),
+    SpecField("admission", AdmissionSpec, (AdmissionSpec.registry,),
               "admission policies (--admission, same grammar)",
               none_unsets=True,
               help="admission policy: accept_all, shed?queue_max=64, or "

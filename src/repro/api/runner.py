@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..methods import resolve_method
 from ..model.config import ModelSpec, get_model
 from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION, calibrated
 from ..sim.capacity import experiment_rps
-from ..sim.engine import ClusterConfig, SimulationResult, default_cluster, \
-    simulate
+from ..sim.engine import CLUSTER_SPEC_FIELDS, ClusterConfig, \
+    SimulationResult, default_cluster, simulate
 from ..workload.traces import TraceRequest, generate_trace
 from .artifact import RunArtifact
 from .scenario import (
@@ -62,6 +62,13 @@ class ResolvedScenario:
     n_output_clipped: int = 0
 
 
+#: Scenario fields passed to :func:`~repro.sim.engine.default_cluster`
+#: as they are; an unset (``None``) field keeps the cluster default.
+_CLUSTER_FIELDS = ("activation_overhead", "n_prefill_replicas",
+                   "n_decode_replicas", "step_mode",
+                   *(name for name, _ in CLUSTER_SPEC_FIELDS))
+
+
 def _resolve_calibration(scenario: Scenario) -> Calibration:
     overrides = scenario.calibration_overrides()
     return calibrated(**overrides) if overrides else DEFAULT_CALIBRATION
@@ -90,30 +97,15 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     trace = generate_trace(dataset_name, rps, n, seed=seed,
                            max_context=max_context,
                            arrival=scenario.arrival or "poisson")
-    configs = {}
-    for name in scenario.methods:
-        config = default_cluster(
-            spec, resolve_method(name), scenario.prefill_gpu, calib=calib,
-            pipelining=scenario.pipelining, decode_gpu=scenario.decode_gpu,
-            activation_overhead=scenario.activation_overhead,
-            scheduler=scenario.scheduler,
-            kvstore=scenario.kvstore,
-            selection=scenario.selection,
-            faults=scenario.faults,
-            recovery=scenario.recovery,
-            autoscaler=scenario.autoscaler,
-            admission=scenario.admission,
-        )
-        overrides = {}
-        if scenario.n_prefill_replicas is not None:
-            overrides["n_prefill_replicas"] = scenario.n_prefill_replicas
-        if scenario.n_decode_replicas is not None:
-            overrides["n_decode_replicas"] = scenario.n_decode_replicas
-        if scenario.step_mode is not None:
-            overrides["step_mode"] = scenario.step_mode
-        if overrides:
-            config = replace(config, **overrides)
-        configs[name] = config
+    overrides = {name: value for name in _CLUSTER_FIELDS
+                 if (value := getattr(scenario, name)) is not None}
+    configs = {
+        name: default_cluster(spec, resolve_method(name),
+                              scenario.prefill_gpu, calib=calib,
+                              pipelining=scenario.pipelining,
+                              decode_gpu=scenario.decode_gpu, **overrides)
+        for name in scenario.methods
+    }
     return ResolvedScenario(scenario=scenario, spec=spec,
                             dataset=dataset_name, max_context=max_context,
                             calib=calib, rps=rps, n_requests=n,

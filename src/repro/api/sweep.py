@@ -39,7 +39,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from ..kvstore.spec import KVStoreSpec, kvstore_spec
+from ..kvstore.spec import KVStoreSpec
 from ..methods import apply_method_params
 from .scenario import Scenario
 
@@ -147,7 +147,7 @@ class Sweep:
                 # Unknown parameters raise inside with_params — a typo'd
                 # kvstore axis fails the whole expansion, like a typo'd
                 # Scenario field.
-                spec = kvstore_spec(self.base.kvstore) \
+                spec = KVStoreSpec.from_reference(self.base.kvstore) \
                     if self.base.kvstore is not None else KVStoreSpec()
                 changes["kvstore"] = spec.with_params(
                     **kv_changes).canonical()

@@ -24,14 +24,10 @@ from .selection import (
     CompressionSelectionPolicy,
     SelectionParam,
     SelectionSpec,
-    canonical_selection,
     get_selection_policy,
     has_selection_policy,
-    parse_selection,
     register_selection,
     selection_policies,
-    selection_spec,
-    split_selection_list,
 )
 from .spec import (
     DEFAULT_EVICTION,
@@ -42,17 +38,12 @@ from .spec import (
     KVStoreFamily,
     KVStoreSpec,
     TierParam,
-    canonical_kvstore,
     eviction_policies,
     get_eviction_policy,
     get_kvstore_family,
-    has_kvstore_families,
     kvstore_families,
-    kvstore_spec,
-    parse_kvstore,
     register_eviction,
     register_kvstore_family,
-    split_kvstore_list,
 )
 from .store import CacheEntry, CacheHit, TierDef, TieredKVStore, TierState
 
@@ -70,11 +61,6 @@ __all__ = [
     "get_kvstore_family",
     "eviction_policies",
     "kvstore_families",
-    "has_kvstore_families",
-    "kvstore_spec",
-    "parse_kvstore",
-    "canonical_kvstore",
-    "split_kvstore_list",
     "DEFAULT_STORE",
     "DEFAULT_EVICTION",
     # store
@@ -91,8 +77,4 @@ __all__ = [
     "get_selection_policy",
     "selection_policies",
     "has_selection_policy",
-    "selection_spec",
-    "parse_selection",
-    "canonical_selection",
-    "split_selection_list",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ..methods.base import Method
 from ..methods.spec import resolve_method
-from ..spec import Param, Policy, Registry, Spec, split_list
+from ..spec import Param, Policy, Registry, Spec
 
 __all__ = [
     "SelectionParam",
@@ -42,10 +42,6 @@ __all__ = [
     "get_selection_policy",
     "selection_policies",
     "has_selection_policy",
-    "selection_spec",
-    "parse_selection",
-    "canonical_selection",
-    "split_selection_list",
 ]
 
 #: A policy parameter: the shared :class:`~repro.spec.Param` (a float,
@@ -84,12 +80,6 @@ class SelectionSpec(Spec):
     params: tuple[tuple[str, object], ...] = ()
 
     registry = _SELECTIONS
-
-
-selection_spec = SelectionSpec.from_reference
-parse_selection = SelectionSpec.parse
-canonical_selection = SelectionSpec.canonical_of
-split_selection_list = split_list
 
 
 def _check_method_ref(kind: str, name: str, value: str) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..spec import Family, Param, Policy, Registry, Spec, names_all, \
-    parse_clause, share_namespace, split_list, split_plus
+    parse_clause, share_namespace, split_plus
 
 __all__ = [
     "TierParam",
@@ -44,11 +44,6 @@ __all__ = [
     "get_kvstore_family",
     "eviction_policies",
     "kvstore_families",
-    "has_kvstore_families",
-    "kvstore_spec",
-    "parse_kvstore",
-    "canonical_kvstore",
-    "split_kvstore_list",
     "DEFAULT_STORE",
     "DEFAULT_EVICTION",
 ]
@@ -203,13 +198,6 @@ class KVStoreSpec(Spec):
         names a store or eviction family registered in this process
         (parameters may still be invalid)."""
         return names_all(reference, cls.registries)
-
-
-has_kvstore_families = KVStoreSpec.known
-kvstore_spec = KVStoreSpec.from_reference
-parse_kvstore = KVStoreSpec.parse
-canonical_kvstore = KVStoreSpec.canonical_of
-split_kvstore_list = split_list
 
 
 # -- built-in eviction policies -----------------------------------------------

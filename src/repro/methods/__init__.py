@@ -26,16 +26,11 @@ from .spec import (
     MethodSpec,
     ParamDef,
     apply_method_params,
-    canonical_method,
     get_family,
-    has_registered_family,
     legacy_names,
     method_families,
-    method_spec,
-    parse_method,
     register_family,
     resolve_method,
-    split_method_list,
 )
 
 __all__ = [
@@ -54,12 +49,7 @@ __all__ = [
     "register_family",
     "get_family",
     "method_families",
-    "method_spec",
-    "parse_method",
     "resolve_method",
-    "canonical_method",
-    "split_method_list",
     "apply_method_params",
-    "has_registered_family",
     "legacy_names",
 ]

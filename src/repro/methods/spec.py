@@ -45,8 +45,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..spec import Family, Param, Registry, Spec, parse_clause, split_list, \
-    suggest
+from ..spec import Family, Param, Registry, Spec, parse_clause, suggest
 from .base import Method
 
 __all__ = [
@@ -58,11 +57,7 @@ __all__ = [
     "method_families",
     "register_legacy_alias",
     "legacy_names",
-    "method_spec",
     "resolve_method",
-    "canonical_method",
-    "parse_method",
-    "split_method_list",
     "apply_method_params",
 ]
 
@@ -226,10 +221,6 @@ class MethodSpec(Spec):
         return method.strip() in _LEGACY or _FAMILIES.has(method)
 
 
-parse_method = MethodSpec.parse
-split_method_list = split_list
-
-
 # -- legacy aliases -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -262,11 +253,6 @@ def legacy_names() -> tuple[str, ...]:
 
 # -- resolution entry points --------------------------------------------------
 
-has_registered_family = MethodSpec.known
-method_spec = MethodSpec.from_reference
-canonical_method = MethodSpec.canonical_of
-
-
 def resolve_method(method) -> Method:
     """Materialize the performance-model :class:`Method` for any method
     reference.  Legacy names keep their historical ``name`` and
@@ -278,7 +264,7 @@ def resolve_method(method) -> Method:
             if alias.overrides:
                 built = dataclasses.replace(built, **dict(alias.overrides))
             return built
-    return method_spec(method).build_method()
+    return MethodSpec.from_reference(method).build_method()
 
 
 def apply_method_params(method, changes: dict) -> tuple[str, set]:
@@ -289,11 +275,11 @@ def apply_method_params(method, changes: dict) -> tuple[str, set]:
     family defines; the rest pass through unchanged — e.g. ``baseline``
     in a ``method.partition_size`` sweep over ``baseline,hack`` comes
     back verbatim with an empty set."""
-    spec = method_spec(method)
+    spec = MethodSpec.from_reference(method)
     declared = spec.entry().params
     aliases = {p.alias for p in declared.values() if p.alias is not None}
     applicable = {k: v for k, v in changes.items()
                   if k in declared or k in aliases}
     if not applicable:
-        return canonical_method(method), set()
+        return MethodSpec.canonical_of(method), set()
     return spec.with_params(**applicable).canonical(), set(applicable)

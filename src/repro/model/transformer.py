@@ -160,19 +160,7 @@ class Transformer:
         the decode instance; the compressor experiments operate on them.
         """
         _, planes = self._run_layers(tokens, collect_kv=True)
-        return [(k, v) for k, v, _ in planes]
-
-    def qkv_planes(
-        self, tokens: Sequence[int]
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-layer post-RoPE (Q, K, V) planes.
-
-        Q has shape ``(L, n_heads·head_dim)``; K and V have shape
-        ``(L, n_kv_heads·head_dim)``.  The accuracy harness replays
-        attention over these with each quantization method.
-        """
-        _, planes = self._run_layers(tokens, collect_kv=True)
-        return [(q, k, v) for k, v, q in planes]
+        return planes
 
     # -- generation (decode path) -------------------------------------------
 
@@ -203,8 +191,7 @@ class Transformer:
 
         caches = []
         d = self.spec.head_dim
-        for layer_planes in planes:
-            k_plane, v_plane, _ = layer_planes
+        for k_plane, v_plane in planes:
             layer_caches = []
             for h in range(self.spec.n_kv_heads):
                 cache = cache_factory()
@@ -253,7 +240,6 @@ class Transformer:
         v = x @ layer.wv
 
         k_rot = np.empty_like(k)
-        q_rot = np.empty_like(q) if collect_kv else None
         outputs = np.empty((x.shape[0], spec.n_heads * d))
         for h_kv in range(spec.n_kv_heads):
             k_h = apply_rope(k[:, h_kv * d:(h_kv + 1) * d], positions)
@@ -262,10 +248,8 @@ class Transformer:
             for g in range(group):
                 h_q = h_kv * group + g
                 q_h = apply_rope(q[:, h_q * d:(h_q + 1) * d], positions)
-                if q_rot is not None:
-                    q_rot[:, h_q * d:(h_q + 1) * d] = q_h
                 outputs[:, h_q * d:(h_q + 1) * d] = self._attend(q_h, k_h, v_h)
-        kv = (k_rot, v, q_rot) if collect_kv else None
+        kv = (k_rot, v) if collect_kv else None
         return outputs @ layer.wo, kv
 
     def _attend(self, q_h, k_h, v_h):

@@ -20,9 +20,10 @@ __all__ = ["kv_wire_bytes", "transfer_time", "make_network_model",
 
 #: Granularity of transfer/compute overlap under layer-wise pipelining.
 #: KV is shipped per *pipeline stage*, not per layer — the engine's
-#: long-standing convention (``ClusterConfig.pipeline_stages``), which
-#: this module previously contradicted by overlapping at ``n_layers``
-#: granularity and so under-reported the exposed tail ~10×.
+#: long-standing convention, which this module previously contradicted
+#: by overlapping at ``n_layers`` granularity and so under-reported the
+#: exposed tail ~10×.  Roughly 1/8 of the transfer stays exposed even
+#: under perfect overlap.
 DEFAULT_PIPELINE_STAGES = 8
 
 

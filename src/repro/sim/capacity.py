@@ -17,7 +17,8 @@ from ..perfmodel.decode import iteration_latency
 from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import transfer_time
 from ..workload.datasets import DatasetSpec, get_dataset
-from .engine import ClusterConfig, default_cluster
+from .engine import MEM_RESERVE_FRACTION, PREFILL_TOKEN_BUDGET, \
+    ClusterConfig, default_cluster
 
 __all__ = ["stage_capacities", "capacity_rps", "experiment_rps",
            "clipped_mean_lengths"]
@@ -58,7 +59,7 @@ def stage_capacities(config: ClusterConfig, dataset: DatasetSpec,
     # Batched prefill: short prompts share a forward pass up to the
     # token budget; the pass pays the joint linear time plus each
     # request's own quadratic attention.
-    per_batch = max(1, config.prefill_token_budget // mean_in)
+    per_batch = max(1, PREFILL_TOKEN_BUDGET // mean_in)
     prefill_rps = 0.0
     nic_rps = 0.0
     for gpu, count in config.fleet_list():
@@ -72,13 +73,11 @@ def stage_capacities(config: ClusterConfig, dataset: DatasetSpec,
         # NIC occupancy is the *full* transfer time even under
         # pipelining — overlap hides latency from the request, not load
         # from the NIC — so the capacity bound deliberately never
-        # passes ``pipelined=True`` (it forwards the engine's stage
-        # count only for signature parity).
-        comm_s = transfer_time(spec, config.method, mean_in, pre, dec, calib,
-                               n_stages=config.pipeline_stages)
+        # passes ``pipelined=True``.
+        comm_s = transfer_time(spec, config.method, mean_in, pre, dec, calib)
         nic_rps += count / comm_s
     params = spec.param_bytes()
-    capacity = (dec.mem_gb * 1e9 * (1 - config.mem_reserve_fraction)
+    capacity = (dec.mem_gb * 1e9 * (1 - MEM_RESERVE_FRACTION)
                 - params * (1 + config.activation_overhead))
     per_request = (mean_in + mean_out) * spec.kv_bytes_per_token(
         config.method.kv_mem_bytes_per_value

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..spec import Param, Policy, Registry, Spec, split_list
+from ..spec import Param, Policy, Registry, Spec
 
 __all__ = [
     "DEFAULT_AUTOSCALER",
@@ -56,14 +56,6 @@ __all__ = [
     "admission_policies",
     "has_autoscaler_policy",
     "has_admission_policy",
-    "autoscaler_spec",
-    "admission_spec",
-    "parse_autoscaler",
-    "parse_admission",
-    "canonical_autoscaler",
-    "canonical_admission",
-    "split_autoscaler_list",
-    "split_admission_list",
 ]
 
 #: The do-nothing defaults the engine runs when none is configured.
@@ -178,15 +170,6 @@ class AdmissionSpec(Spec):
     params: tuple[tuple[str, object], ...] = ()
 
     registry = _ADMISSIONS
-
-
-autoscaler_spec = AutoscalerSpec.from_reference
-admission_spec = AdmissionSpec.from_reference
-parse_autoscaler = AutoscalerSpec.parse
-parse_admission = AdmissionSpec.parse
-canonical_autoscaler = AutoscalerSpec.canonical_of
-canonical_admission = AdmissionSpec.canonical_of
-split_autoscaler_list = split_admission_list = split_list
 
 
 # -- built-in autoscalers -----------------------------------------------------

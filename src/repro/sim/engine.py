@@ -76,8 +76,8 @@ import numpy as np
 from ..cluster.instances import DEFAULT_DECODE_COUNT, DEFAULT_PREFILL_FLEETS, \
     canonical_fleet, instance_for_gpu, parse_fleet_spec
 from ..cluster.parallelism import ReplicaResources, replica_resources
-from ..kvstore.selection import SelectionSpec, selection_spec
-from ..kvstore.spec import KVStoreSpec, kvstore_spec
+from ..kvstore.selection import SelectionSpec
+from ..kvstore.spec import KVStoreSpec
 from ..methods.base import Method
 from ..model.config import ModelSpec
 from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
@@ -87,18 +87,28 @@ from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
 from ..workload.traces import TraceRequest
 from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_ADMISSION, \
-    DEFAULT_AUTOSCALER, admission_spec, autoscaler_spec
-from .faults import FaultPlan, faults_spec
-from .recovery import DEFAULT_RECOVERY, RecoverySpec, recovery_spec
+    DEFAULT_AUTOSCALER
+from .faults import FaultPlan
+from .recovery import DEFAULT_RECOVERY, RecoverySpec
 from .request import BUCKETS, SimRequest, nearest_rank
-from .scheduling import SchedulerSpec, scheduler_spec
+from .scheduling import SchedulerSpec
 
 __all__ = ["ClusterConfig", "SimulationResult", "Simulator", "simulate",
-           "default_cluster", "DEFAULT_TTFT_SLO_S", "DEFAULT_TBT_SLO_S"]
+           "default_cluster", "CLUSTER_SPEC_FIELDS", "DEFAULT_TTFT_SLO_S",
+           "DEFAULT_TBT_SLO_S", "MEM_RESERVE_FRACTION",
+           "PREFILL_TOKEN_BUDGET"]
 
 _GB = 1e9
 #: Token times of a ledger entry that completes no iteration.
 _NO_TIMES = np.empty(0, dtype=np.float64)
+
+#: Fraction of decode-GPU memory held back from the KV budget.
+MEM_RESERVE_FRACTION = 0.03
+#: Prompt tokens a prefill replica batches into one forward pass
+#: (vLLM's batched prefill).  Long prompts run alone; short prompts
+#: share a pass, which is what gives short-prompt datasets their high
+#: prefill throughput.
+PREFILL_TOKEN_BUDGET = 16384
 
 #: Default service-level objectives for :meth:`SimulationResult.summary`.
 #: TTFT covers queueing + a long-prompt prefill pass on the §7.1
@@ -106,6 +116,21 @@ _NO_TIMES = np.empty(0, dtype=np.float64)
 #: recomputable at any other point from the per-request records.
 DEFAULT_TTFT_SLO_S = 20.0
 DEFAULT_TBT_SLO_S = 0.5
+
+#: The spec-valued :class:`ClusterConfig` fields and the spec type each
+#: coerces to: ``__post_init__`` turns a grammar string (or, for
+#: ``faults``, a single :class:`~repro.sim.faults.FaultSpec`) into that
+#: type, and ``None`` leaves the field unset.  A test checks it against
+#: :data:`repro.api.fields.SPEC_FIELDS`.
+CLUSTER_SPEC_FIELDS: tuple[tuple[str, type], ...] = (
+    ("scheduler", SchedulerSpec),
+    ("kvstore", KVStoreSpec),
+    ("selection", SelectionSpec),
+    ("faults", FaultPlan),
+    ("recovery", RecoverySpec),
+    ("autoscaler", AutoscalerSpec),
+    ("admission", AdmissionSpec),
+)
 
 
 @dataclass(frozen=True)
@@ -125,18 +150,6 @@ class ClusterConfig:
     #: graphs and scratch alongside the weights; ~45% of parameter
     #: bytes reproduces Table 5's ~65% idle floor on the decode GPUs.
     activation_overhead: float = 0.45
-    mem_reserve_fraction: float = 0.03
-    #: Prompt tokens a prefill replica batches into one forward pass
-    #: (vLLM's batched prefill).  Long prompts run alone; short prompts
-    #: share a pass, which is what gives short-prompt datasets their
-    #: high prefill throughput.
-    prefill_token_budget: int = 16384
-    #: Granularity of transfer/compute overlap under pipelining: KV is
-    #: shipped per pipeline stage, not per layer, so roughly 1/8 of the
-    #: transfer stays exposed even under perfect overlap.  Shared with
-    #: :func:`repro.perfmodel.transfer.transfer_time` so the analytic
-    #: model and the engine agree on the overlap granularity.
-    pipeline_stages: int = DEFAULT_PIPELINE_STAGES
     #: Decode stepping: ``"span"`` fast-forwards whole runs of
     #: iterations between batch-composition changes in one heap event
     #: (closed-form latency sums); ``"token"`` is the legacy
@@ -193,36 +206,12 @@ class ClusterConfig:
                 f"step_mode must be 'span' or 'token', got "
                 f"{self.step_mode!r}"
             )
-        if self.scheduler is not None \
-                and not isinstance(self.scheduler, SchedulerSpec):
-            # Accept the grammar string every adjacent API takes
-            # (fails fast on bad policies instead of at Simulator
-            # construction).
-            object.__setattr__(self, "scheduler",
-                               scheduler_spec(self.scheduler))
-        if self.kvstore is not None \
-                and not isinstance(self.kvstore, KVStoreSpec):
-            object.__setattr__(self, "kvstore",
-                               kvstore_spec(self.kvstore))
-        if self.selection is not None \
-                and not isinstance(self.selection, SelectionSpec):
-            object.__setattr__(self, "selection",
-                               selection_spec(self.selection))
-        if self.faults is not None \
-                and not isinstance(self.faults, FaultPlan):
-            object.__setattr__(self, "faults", faults_spec(self.faults))
-        if self.recovery is not None \
-                and not isinstance(self.recovery, RecoverySpec):
-            object.__setattr__(self, "recovery",
-                               recovery_spec(self.recovery))
-        if self.autoscaler is not None \
-                and not isinstance(self.autoscaler, AutoscalerSpec):
-            object.__setattr__(self, "autoscaler",
-                               autoscaler_spec(self.autoscaler))
-        if self.admission is not None \
-                and not isinstance(self.admission, AdmissionSpec):
-            object.__setattr__(self, "admission",
-                               admission_spec(self.admission))
+        for name, spec in CLUSTER_SPEC_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                # A grammar string fails fast here, not at Simulator
+                # construction.
+                object.__setattr__(self, name, spec.from_reference(value))
         if self.prefill_fleets is not None:
             if not self.prefill_fleets:
                 raise ValueError("prefill_fleets must name >= 1 fleet")
@@ -282,15 +271,7 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
                     n_decode_instances: int = DEFAULT_DECODE_COUNT,
                     decode_gpu: str = "A100",
                     activation_overhead: float | None = None,
-                    step_mode: str | None = None,
-                    scheduler=None,
-                    kvstore=None,
-                    selection=None,
-                    faults=None,
-                    recovery=None,
-                    autoscaler=None,
-                    admission=None,
-                    ) -> ClusterConfig:
+                    **fields) -> ClusterConfig:
     """The paper's §7.1 deployment for ``model`` on ``prefill_gpu``.
 
     Replica counts derive from the instance fleets (e.g. ten
@@ -303,13 +284,14 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
     :func:`repro.cluster.parse_fleet_spec` — ``"A10G+T4"`` (each fleet
     at its §7.1 default replica count) or ``"A10G:2+T4:4"`` (explicit
     per-fleet replica counts).  ``n_prefill_instances`` only applies to
-    a single plain-GPU fleet.  ``scheduler`` is a
-    :class:`~repro.sim.scheduling.SchedulerSpec` or grammar string
-    (``"round_robin+best_fit"``); ``None`` keeps the paper's pair.
-    ``kvstore``/``selection`` plumb straight through to the matching
-    :class:`ClusterConfig` fields (spec objects or grammar strings;
-    ``None`` configures no store or selection policy), as do
-    ``faults``/``recovery`` (``None`` injects nothing).
+    a single plain-GPU fleet.
+
+    Every other keyword is a :class:`ClusterConfig` field and goes to
+    it unchanged: ``step_mode``, ``n_prefill_replicas`` or
+    ``n_decode_replicas`` (overriding the derived counts), or a spec
+    field of :data:`CLUSTER_SPEC_FIELDS` — a spec object or grammar
+    string such as ``scheduler="round_robin+best_fit"``, which
+    :class:`ClusterConfig` coerces; ``None`` leaves it unset.
     """
     fleets = parse_fleet_spec(prefill_gpu)
     dec_gpu = decode_gpu.upper()
@@ -336,36 +318,18 @@ def default_cluster(model: ModelSpec, method: Method, prefill_gpu: str,
     dec_inst = instance_for_gpu(dec_gpu)
     n_decode = max(1, n_decode_instances * dec_inst.n_gpus
                    // dec.parallelism.n_gpus)
-    extra = {} if activation_overhead is None else {
-        "activation_overhead": activation_overhead
-    }
-    if step_mode is not None:
-        extra["step_mode"] = step_mode
-    if scheduler is not None:
-        extra["scheduler"] = scheduler_spec(scheduler)
-    if kvstore is not None:
-        extra["kvstore"] = kvstore_spec(kvstore)
-    if selection is not None:
-        extra["selection"] = selection_spec(selection)
-    if faults is not None:
-        extra["faults"] = faults_spec(faults)
-    if recovery is not None:
-        extra["recovery"] = recovery_spec(recovery)
-    if autoscaler is not None:
-        extra["autoscaler"] = autoscaler_spec(autoscaler)
-    if admission is not None:
-        extra["admission"] = admission_spec(admission)
+    fields = {"n_prefill_replicas": sum(count for _, count in resolved),
+              "n_decode_replicas": n_decode, **fields}
+    if activation_overhead is not None:
+        fields["activation_overhead"] = activation_overhead
     if len(resolved) > 1:
-        extra["prefill_fleets"] = tuple(resolved)
+        fields["prefill_fleets"] = tuple(resolved)
         gpu_label = canonical_fleet(tuple(resolved))
     else:
         gpu_label = resolved[0][0]
-    n_prefill = sum(count for _, count in resolved)
     return ClusterConfig(model=model, method=method, prefill_gpu=gpu_label,
-                         n_prefill_replicas=n_prefill,
-                         n_decode_replicas=n_decode, calib=calib,
-                         pipelining=pipelining, decode_gpu=dec_gpu,
-                         **extra)
+                         calib=calib, pipelining=pipelining,
+                         decode_gpu=dec_gpu, **fields)
 
 
 @dataclass
@@ -601,13 +565,9 @@ class SimulationResult:
             self.requests
         )
 
-    @staticmethod
-    def _nearest_rank(values_sorted, p: float) -> float:
-        return nearest_rank(values_sorted, p)
-
     def jct_percentile(self, p: float) -> float:
         """JCT at percentile ``p`` (nearest-rank over finished requests)."""
-        return self._nearest_rank(sorted(r.jct for r in self.requests), p)
+        return nearest_rank(sorted(r.jct for r in self.requests), p)
 
     # -- serving metrics (TTFT / TBT / SLO) -----------------------------------
 
@@ -617,7 +577,7 @@ class SimulationResult:
 
     def ttft_percentile(self, p: float) -> float:
         """TTFT at percentile ``p`` (nearest-rank)."""
-        return self._nearest_rank(sorted(self.ttfts()), p)
+        return nearest_rank(sorted(self.ttfts()), p)
 
     def tbt_gaps(self) -> np.ndarray:
         """All inter-token gaps, pooled across requests (ascending)."""
@@ -629,7 +589,7 @@ class SimulationResult:
 
     def tbt_percentile(self, p: float) -> float:
         """Pooled time-between-tokens at percentile ``p`` (nearest-rank)."""
-        return self._nearest_rank(self.tbt_gaps(), p)
+        return nearest_rank(self.tbt_gaps(), p)
 
     def mean_normalized_latency(self) -> float:
         """Mean JCT per output token (DistServe's normalized latency)."""
@@ -789,9 +749,9 @@ class SimulationResult:
         out = {
             "n_requests": len(jcts),
             "avg_jct_s": self.avg_jct(),
-            "p50_jct_s": self._nearest_rank(jcts, 50),
-            "p95_jct_s": self._nearest_rank(jcts, 95),
-            "p99_jct_s": self._nearest_rank(jcts, 99),
+            "p50_jct_s": nearest_rank(jcts, 50),
+            "p95_jct_s": nearest_rank(jcts, 95),
+            "p99_jct_s": nearest_rank(jcts, 99),
             "max_jct_s": jcts[-1] if jcts else 0.0,
             "mean_decomposition_s": self.mean_decomposition(),
             "peak_memory_fraction": self.peak_memory_fraction,
@@ -799,13 +759,13 @@ class SimulationResult:
             "n_rejected": self.n_rejected,
             "n_failed": len(self.failed_requests),
             "mean_ttft_s": sum(ttfts) / len(ttfts) if ttfts else 0.0,
-            "p50_ttft_s": self._nearest_rank(ttfts, 50),
-            "p95_ttft_s": self._nearest_rank(ttfts, 95),
-            "p99_ttft_s": self._nearest_rank(ttfts, 99),
+            "p50_ttft_s": nearest_rank(ttfts, 50),
+            "p95_ttft_s": nearest_rank(ttfts, 95),
+            "p99_ttft_s": nearest_rank(ttfts, 99),
             "mean_tbt_s": float(gaps.mean()) if gaps.size else 0.0,
-            "p50_tbt_s": self._nearest_rank(gaps, 50),
-            "p95_tbt_s": self._nearest_rank(gaps, 95),
-            "p99_tbt_s": self._nearest_rank(gaps, 99),
+            "p50_tbt_s": nearest_rank(gaps, 50),
+            "p95_tbt_s": nearest_rank(gaps, 95),
+            "p99_tbt_s": nearest_rank(gaps, 99),
             "mean_normalized_latency_s": self.mean_normalized_latency(),
             "slo_ttft_s": ttft_slo_s,
             "slo_tbt_s": tbt_slo_s,
@@ -875,7 +835,7 @@ class Simulator:
         params = self.spec.param_bytes()
         base = params * (1.0 + config.activation_overhead)
         capacity = (self.dec_res.mem_gb * _GB
-                    * (1.0 - config.mem_reserve_fraction) - base)
+                    * (1.0 - MEM_RESERVE_FRACTION) - base)
         if capacity <= 0:
             raise ValueError(
                 f"decode replica memory too small for {self.spec.name}"
@@ -1116,9 +1076,9 @@ class Simulator:
         replica = self._prefill[idx]
         batch = [replica.queue.popleft()]
         total_tokens = batch[0].trace.input_len
-        budget = self.config.prefill_token_budget
         while replica.queue and (
-            total_tokens + replica.queue[0].trace.input_len <= budget
+            total_tokens + replica.queue[0].trace.input_len
+            <= PREFILL_TOKEN_BUDGET
         ):
             nxt = replica.queue.popleft()
             batch.append(nxt)
@@ -1288,7 +1248,7 @@ class Simulator:
             exposed = self.net.pipelined_exposed_time(
                 nbytes, src_gbps, dst_gbps,
                 compute_s=req.prefill_s,
-                n_stages=self.config.pipeline_stages,
+                n_stages=DEFAULT_PIPELINE_STAGES,
             )
             # Overlapped portion hides inside prefill; only the exposed
             # tail delays the request.
@@ -1596,11 +1556,7 @@ class Simulator:
                 if req.prefill_replica == idx and not req.swapped]
         for rid, req, comm in dead:
             del self._inflight[rid]
-            decode = self._decode[req.decode_replica]
-            decode.used_bytes -= req.reserved_bytes
-            decode.queued_tokens -= req.trace.total_len
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
+            self._release_reservation(req)
             self._recover(now, req, lost_kv=True)
         for req in batch:
             # The buckets were charged the full planned pass up front;
@@ -1619,10 +1575,7 @@ class Simulator:
         if replica.down_count > 0:
             return
         replica.up = True
-        pending = self._pending_dispatch
-        self._pending_dispatch = deque()
-        for req in pending:
-            self._dispatch_to_prefill(now, req)
+        self._resume(now, "prefill")
         # A crash emptied this replica; if it was draining it can retire
         # now that it is repaired-and-idle.
         self._maybe_retire(now, "prefill", idx)
@@ -1668,17 +1621,16 @@ class Simulator:
         ]
         for rid, req, comm in transfer_victims:
             del self._inflight[rid]
+        # The replica's books were wiped above, so nothing is refunded.
         for req in victims:
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
+            self._release_reservation(req, refund=False)
             self._recover(now, req, lost_kv=True)
         for rid, req, comm in transfer_victims:
             # The KV still sits at the source; only the wire time was
             # wasted.  It re-lands in the queue bucket.
             req.comm_s -= comm
             req.wasted_compute_s += comm
-            req.reserved_bytes = 0.0
-            req.decode_replica = -1
+            self._release_reservation(req, refund=False)
             self._recover(now, req, lost_kv=False)
 
     def _decode_up(self, now: float, idx: int) -> None:
@@ -1718,11 +1670,7 @@ class Simulator:
             return             # a crash already recovered this attempt
         _, comm = self._inflight.pop(req.request_id)
         target = req.decode_replica
-        decode = self._decode[target]
-        decode.used_bytes -= req.reserved_bytes
-        decode.queued_tokens -= req.trace.total_len
-        req.reserved_bytes = 0.0
-        req.decode_replica = -1
+        self._release_reservation(req)
         # The flapped attempt's wire time is wasted work, not KV
         # communication the request benefited from.
         req.comm_s -= comm
@@ -1731,6 +1679,28 @@ class Simulator:
         self._admit_pending(now)
         # The flap may have freed a draining replica's last bytes.
         self._maybe_retire(now, "decode", target)
+
+    def _release_reservation(self, req: SimRequest,
+                             refund: bool = True) -> None:
+        """Drop ``req``'s claim on its decode replica; ``refund`` returns
+        the reserved bytes and tokens to that replica's books."""
+        if refund:
+            decode = self._decode[req.decode_replica]
+            decode.used_bytes -= req.reserved_bytes
+            decode.queued_tokens -= req.trace.total_len
+        req.reserved_bytes = 0.0
+        req.decode_replica = -1
+
+    def _resume(self, now: float, role: str) -> None:
+        """Hand the work parked while ``role``'s fleet could not serve
+        to a replica that now can."""
+        if role == "prefill":
+            pending = self._pending_dispatch
+            self._pending_dispatch = deque()
+            for req in pending:
+                self._dispatch_to_prefill(now, req)
+        else:
+            self._admit_pending(now)
 
     def _recover(self, now: float, req: SimRequest, lost_kv: bool,
                  wasted_s: float | None = None) -> None:
@@ -1884,15 +1854,8 @@ class Simulator:
                     self._maybe_retire(now, role, idx)
         self._record_replicas(now)
         if undrained:
-            # A resurrected replica can serve again: drain whatever
-            # parked while the fleet had no serving capacity.
-            if role == "prefill":
-                pending = self._pending_dispatch
-                self._pending_dispatch = deque()
-                for req in pending:
-                    self._dispatch_to_prefill(now, req)
-            else:
-                self._admit_pending(now)
+            # A resurrected replica can serve again.
+            self._resume(now, role)
 
     def _on_elastic_boot(self, now: float, payload) -> None:
         role, idx, lifecycle = payload
@@ -1903,13 +1866,7 @@ class Simulator:
         r.state = "on"
         self._scale_events.append((now, role, "up", idx))
         self._record_replicas(now)
-        if role == "prefill":
-            pending = self._pending_dispatch
-            self._pending_dispatch = deque()
-            for req in pending:
-                self._dispatch_to_prefill(now, req)
-        else:
-            self._admit_pending(now)
+        self._resume(now, role)
 
     def _replica_gpus(self, role: str, idx: int) -> int:
         if role == "prefill":

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..spec import Param, Policy, Reference, Registry, Spec, names_all, \
-    parse_clause, split_list, split_plus
+    parse_clause, split_plus
 
 __all__ = [
     "FaultParam",
@@ -52,11 +52,6 @@ __all__ = [
     "register_fault",
     "get_fault_family",
     "fault_families",
-    "has_fault_families",
-    "faults_spec",
-    "parse_faults",
-    "canonical_faults",
-    "split_faults_list",
 ]
 
 #: Replica roles a crash family may target.
@@ -136,7 +131,7 @@ class FaultPlan(Reference):
 
     @classmethod
     def of(cls, *specs) -> "FaultPlan":
-        return cls(tuple(faults_spec(s).faults[0] if isinstance(s, str)
+        return cls(tuple(cls.from_reference(s).faults[0] if isinstance(s, str)
                          else s for s in specs))
 
     def canonical(self) -> str:
@@ -200,13 +195,6 @@ class FaultPlan(Reference):
         for family in self.build():
             survive *= 1.0 - family.transfer_fail_prob()
         return 1.0 - survive
-
-
-has_fault_families = FaultPlan.known
-faults_spec = FaultPlan.from_reference
-parse_faults = FaultPlan.parse
-canonical_faults = FaultPlan.canonical_of
-split_faults_list = split_list
 
 
 # -- built-in families --------------------------------------------------------

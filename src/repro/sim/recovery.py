@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spec import Param, Policy, Registry, Spec, split_list
+from ..spec import Param, Policy, Registry, Spec
 
 __all__ = [
     "RecoveryParam",
@@ -43,10 +43,6 @@ __all__ = [
     "get_recovery_policy",
     "recovery_policies",
     "has_recovery_policy",
-    "recovery_spec",
-    "parse_recovery",
-    "canonical_recovery",
-    "split_recovery_list",
     "DEFAULT_RECOVERY",
 ]
 
@@ -88,12 +84,6 @@ class RecoverySpec(Spec):
     params: tuple[tuple[str, object], ...] = ()
 
     registry = _RECOVERIES
-
-
-recovery_spec = RecoverySpec.from_reference
-parse_recovery = RecoverySpec.parse
-canonical_recovery = RecoverySpec.canonical_of
-split_recovery_list = split_list
 
 
 # -- built-in families --------------------------------------------------------

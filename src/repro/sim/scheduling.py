@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..spec import Param, Policy, Reference, Registry, Spec, names_all, \
-    parse_clause, share_namespace, split_list, split_plus
+    parse_clause, share_namespace, split_plus
 
 __all__ = [
     "PolicyParam",
@@ -59,11 +59,6 @@ __all__ = [
     "get_placement_policy",
     "dispatch_policies",
     "placement_policies",
-    "has_scheduler_policies",
-    "scheduler_spec",
-    "parse_scheduler",
-    "canonical_scheduler",
-    "split_scheduler_list",
     "DEFAULT_DISPATCH",
     "DEFAULT_PLACEMENT",
 ]
@@ -252,13 +247,6 @@ class SchedulerSpec(Reference):
         return names_all(reference, cls.registries)
 
 
-has_scheduler_policies = SchedulerSpec.known
-scheduler_spec = SchedulerSpec.from_reference
-parse_scheduler = SchedulerSpec.parse
-canonical_scheduler = SchedulerSpec.canonical_of
-split_scheduler_list = split_list
-
-
 # -- built-in dispatch policies -----------------------------------------------
 
 @register_policy
@@ -325,16 +313,16 @@ class LeastWorkDispatch(PrefillDispatchPolicy):
         # budget, computed once per distinct GPU type: on heterogeneous
         # fleets this is the asymmetry the policy exploits.
         from ..perfmodel.prefill import prefill_time
+        from .engine import PREFILL_TOKEN_BUDGET
 
-        budget = sim.config.prefill_token_budget
         speed: dict[str, float] = {}
         self._speed = []
         for replica in sim._prefill:
             if replica.gpu not in speed:
-                t = prefill_time(sim.spec, replica.res, budget, sim.method,
-                                 sim.calib)
-                speed[replica.gpu] = budget / (t.linear_s + t.attention_s
-                                               + t.quantize_s)
+                t = prefill_time(sim.spec, replica.res, PREFILL_TOKEN_BUDGET,
+                                 sim.method, sim.calib)
+                speed[replica.gpu] = PREFILL_TOKEN_BUDGET / (
+                    t.linear_s + t.attention_s + t.quantize_s)
             self._speed.append(speed[replica.gpu])
 
     def choose(self, now, req, replicas):

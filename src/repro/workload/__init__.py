@@ -6,13 +6,9 @@ from .arrivals import (
     ArrivalProcess,
     ArrivalSpec,
     arrival_processes,
-    arrival_spec,
-    canonical_arrival,
     get_arrival_process,
     has_arrival_process,
-    parse_arrival,
     register_arrival,
-    split_arrival_list,
 )
 from .datasets import (
     DATASETS,
@@ -41,11 +37,7 @@ __all__ = [
     "ArrivalProcess",
     "ArrivalSpec",
     "arrival_processes",
-    "arrival_spec",
-    "canonical_arrival",
     "get_arrival_process",
     "has_arrival_process",
-    "parse_arrival",
     "register_arrival",
-    "split_arrival_list",
 ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spec import Family, Param, Registry, Spec, split_list
+from ..spec import Family, Param, Registry, Spec
 
 __all__ = [
     "ArrivalParam",
@@ -56,10 +56,6 @@ __all__ = [
     "get_arrival_process",
     "arrival_processes",
     "has_arrival_process",
-    "arrival_spec",
-    "parse_arrival",
-    "canonical_arrival",
-    "split_arrival_list",
 ]
 
 #: A family parameter: the shared :class:`~repro.spec.Param`.
@@ -125,12 +121,6 @@ class ArrivalSpec(Spec):
             raise ValueError(f"n must be >= 1, got {n}")
         return self.entry().sample_arrivals(rng, rps, n,
                                             **self.resolved_params())
-
-
-parse_arrival = ArrivalSpec.parse
-arrival_spec = ArrivalSpec.from_reference
-canonical_arrival = ArrivalSpec.canonical_of
-split_arrival_list = split_list
 
 
 # -- built-in families --------------------------------------------------------

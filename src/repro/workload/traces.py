@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import ArrivalSpec, arrival_spec, get_arrival_process
+from .arrivals import ArrivalSpec, get_arrival_process
 from .datasets import DatasetSpec, get_dataset
 
 __all__ = ["TraceRequest", "Trace", "generate_trace", "capped_trace",
@@ -128,7 +128,7 @@ def generate_trace(
     if slo_tier < 0:
         raise ValueError(f"slo_tier must be >= 0, got {slo_tier}")
     spec = dataset if isinstance(dataset, DatasetSpec) else get_dataset(dataset)
-    process = arrival_spec(arrival)
+    process = ArrivalSpec.from_reference(arrival)
     rng = np.random.default_rng(seed)
     family = get_arrival_process(process.kind)
     if family.builds_trace:

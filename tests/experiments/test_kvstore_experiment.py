@@ -29,8 +29,8 @@ class TestGrid:
         assert warm["mean_ttft_s"] < cold["mean_ttft_s"]
 
     def test_undersized_ttl_store_churns(self, study):
-        from repro.kvstore import canonical_kvstore
-        tiny, = [canonical_kvstore(k) for k in kvstore.KVSTORES
+        from repro.kvstore import KVStoreSpec
+        tiny, = [KVStoreSpec.canonical_of(k) for k in kvstore.KVSTORES
                  if k and "ttl" in k]
         stats = study.results[(tiny, None)].kvstore_stats
         churn = sum(t["evictions"] for t in stats["tiers"].values())

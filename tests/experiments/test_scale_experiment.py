@@ -5,11 +5,11 @@ import math
 import pytest
 
 from repro.experiments import scale
-from repro.sim.elastic import canonical_autoscaler
+from repro.sim.elastic import AutoscalerSpec
 
 SCALE = 0.1
 
-REACTIVE = canonical_autoscaler(scale.AUTOSCALERS[1])
+REACTIVE = AutoscalerSpec.canonical_of(scale.AUTOSCALERS[1])
 SHED = scale.ADMISSIONS[1]
 
 

@@ -7,14 +7,11 @@ import pytest
 from repro.kvstore import (
     CompressionSelectionPolicy,
     SelectionSpec,
-    canonical_selection,
-    parse_selection,
     register_selection,
     selection_policies,
-    selection_spec,
-    split_selection_list,
 )
 from repro.methods import get_method
+from repro.spec import split_list
 
 
 def _req(slo_tier=0):
@@ -28,45 +25,45 @@ def _sim(method=None, kvstore=None, prefill=()):
 
 class TestGrammar:
     def test_bare_family(self):
-        spec = parse_selection("static")
+        spec = SelectionSpec.parse("static")
         assert spec.kind == "static" and spec.params == ()
         assert spec.canonical() == "static"
 
     def test_params_canonicalize_sorted(self):
-        assert canonical_selection("congestion?lo=0.4,hi=0.8") == \
+        assert SelectionSpec.canonical_of("congestion?lo=0.4,hi=0.8") == \
             "congestion?hi=0.8,lo=0.4"
 
     def test_string_and_float_params_coexist(self):
-        spec = parse_selection("slo_tier?tier0=fp8")
+        spec = SelectionSpec.parse("slo_tier?tier0=fp8")
         assert spec.canonical() == "slo_tier?tier0=fp8"
         assert spec.resolved_params()["tier1"] == "hack"
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'static'"):
-            parse_selection("sttic")
+            SelectionSpec.parse("sttic")
 
     def test_unknown_param_suggests(self):
         with pytest.raises(ValueError, match="no parameter"):
-            parse_selection("congestion?high=0.8")
+            SelectionSpec.parse("congestion?high=0.8")
 
     def test_method_ref_params_validated(self):
         with pytest.raises(ValueError, match="resolvable method"):
-            parse_selection("slo_tier?tier0=not_a_method")
+            SelectionSpec.parse("slo_tier?tier0=not_a_method")
 
     def test_hysteresis_band_validated(self):
         with pytest.raises(ValueError, match="lo must be"):
-            parse_selection("congestion?hi=0.5,lo=0.6")
+            SelectionSpec.parse("congestion?hi=0.5,lo=0.6")
         with pytest.raises(ValueError, match="hi must be"):
-            parse_selection("congestion?hi=1.5")
+            SelectionSpec.parse("congestion?hi=1.5")
 
     def test_spec_helper_passthrough(self):
-        spec = parse_selection("slo_tier")
-        assert selection_spec(spec) is spec
+        spec = SelectionSpec.parse("slo_tier")
+        assert SelectionSpec.from_reference(spec) is spec
         with pytest.raises(TypeError):
-            selection_spec(3.14)
+            SelectionSpec.from_reference(3.14)
 
     def test_split_list_keeps_params_attached(self):
-        assert split_selection_list(
+        assert split_list(
             "static,congestion?hi=0.8,lo=0.4,slo_tier") == \
             ["static", "congestion?hi=0.8,lo=0.4", "slo_tier"]
 
@@ -87,7 +84,7 @@ class TestBuiltinPolicies:
         assert policy.choose(0.0, _req(-3), sim).name == "baseline"
 
     def test_congestion_hysteresis_latch(self):
-        policy = parse_selection("congestion?hi=0.75,lo=0.5").build()
+        policy = SelectionSpec.parse("congestion?hi=0.75,lo=0.5").build()
 
         class FakeStore:
             def __init__(self):
@@ -108,7 +105,7 @@ class TestBuiltinPolicies:
         assert policy.choose(3.0, req, sim) is sim.method
 
     def test_congestion_nic_signal(self):
-        policy = parse_selection("congestion?nic_s=1.0").build()
+        policy = SelectionSpec.parse("congestion?nic_s=1.0").build()
         sim = _sim(prefill=[SimpleNamespace(nic_free_at=5.0)])
         assert policy.signal(4.5, sim) == pytest.approx(0.5)
         assert policy.signal(1.0, sim) == 1.0      # saturates at 1
@@ -132,7 +129,7 @@ class TestRegistry:
             def choose(self, now, req, sim):
                 return get_method("baseline")
 
-        assert parse_selection("always_baseline_test").build() \
+        assert SelectionSpec.parse("always_baseline_test").build() \
             .choose(0.0, _req(), _sim()).name == "baseline"
         with pytest.raises(ValueError, match="already registered"):
             register_selection(AlwaysBaseline)

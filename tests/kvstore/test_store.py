@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvstore import TierDef, TieredKVStore, parse_kvstore
+from repro.kvstore import KVStoreSpec, TierDef, TieredKVStore
 from repro.kvstore.spec import LFUEviction, LRUEviction
 from repro.perfmodel.tiers import TIER_LATENCY_S, tier_access_time
 
@@ -124,7 +124,7 @@ class TestEviction:
         assert set(lfu._index) == {"hot", "cold"}     # new has no hits
 
     def test_ttl_expires_idle_entries(self):
-        store = parse_kvstore(
+        store = KVStoreSpec.parse(
             "tiered?hbm_gb=0.001+ttl?seconds=10").build()
         store.put("s0", 100, BPT, "hack", now=0.0)
         assert store.lookup("s0", 100, now=5.0).hit   # refreshes idle clock
@@ -141,7 +141,7 @@ class TestEviction:
 
 class TestStats:
     def test_stats_shape_and_accounting(self):
-        store = parse_kvstore("tiered?dram_gb=8").build()
+        store = KVStoreSpec.parse("tiered?dram_gb=8").build()
         assert [t.spec.name for t in store.tiers] == ["hbm", "dram", "pool"]
         assert store.tiers[2].latency_s == TIER_LATENCY_S["pool"]
         store.put("s0", 1000, 50_000.0, "hack", now=0.0)

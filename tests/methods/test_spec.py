@@ -13,53 +13,50 @@ from repro.methods import (
     MethodSpec,
     ParamDef,
     apply_method_params,
-    canonical_method,
     get_method,
     legacy_names,
-    method_spec,
-    parse_method,
     register_family,
     resolve_method,
-    split_method_list,
 )
 from repro.methods.spec import _LEGACY, method_families
+from repro.spec import split_list
 
 
 class TestParseAndCanonical:
     def test_bare_family(self):
-        spec = parse_method("quant")
+        spec = MethodSpec.parse("quant")
         assert spec == MethodSpec("quant")
         assert spec.canonical() == "quant"
 
     def test_parameterized(self):
-        spec = parse_method("hack?pi=128,bits=4,se=off")
+        spec = MethodSpec.parse("hack?pi=128,bits=4,se=off")
         assert dict(spec.params) == {
             "partition_size": 128, "bits": 4,
             "summation_elimination": False,
         }
 
     def test_aliases_and_long_names_are_equivalent(self):
-        assert parse_method("hack?pi=128") == \
-            parse_method("hack?partition_size=128")
+        assert MethodSpec.parse("hack?pi=128") == \
+            MethodSpec.parse("hack?partition_size=128")
 
     def test_parameter_order_is_irrelevant(self):
-        assert parse_method("hack?bits=4,pi=128") == \
-            parse_method("hack?pi=128,bits=4")
+        assert MethodSpec.parse("hack?bits=4,pi=128") == \
+            MethodSpec.parse("hack?pi=128,bits=4")
 
     def test_boolean_spellings(self):
         for token in ("off", "false", "no", "0"):
-            spec = parse_method(f"hack?se={token}")
+            spec = MethodSpec.parse(f"hack?se={token}")
             assert dict(spec.params)["summation_elimination"] is False
         for token in ("on", "true", "yes", "1"):
-            spec = parse_method(f"hack?rqe={token}")
+            spec = MethodSpec.parse(f"hack?rqe={token}")
             assert dict(spec.params)["requant_elimination"] is True
 
     def test_canonical_round_trip(self):
         for text in ("hack?pi=128,bits=4,se=off", "quant?bits=4",
                      "fp?bits=6", "cachegen?delta_bits=4,delta_gain=8",
                      "hack?gain=1.6"):
-            spec = parse_method(text)
-            assert parse_method(spec.canonical()) == spec
+            spec = MethodSpec.parse(text)
+            assert MethodSpec.parse(spec.canonical()) == spec
 
     def test_float_values_round_trip_exactly(self):
         """Close-but-distinct floats must keep distinct canonical
@@ -67,41 +64,41 @@ class TestParseAndCanonical:
         a = MethodSpec.of("hack", int_compute_gain=1 / 3)
         b = MethodSpec.of("hack", int_compute_gain=0.3333334)
         assert a.canonical() != b.canonical()
-        assert parse_method(a.canonical()) == a
-        assert parse_method(b.canonical()) == b
+        assert MethodSpec.parse(a.canonical()) == a
+        assert MethodSpec.parse(b.canonical()) == b
 
     def test_canonical_uses_short_aliases(self):
-        assert parse_method("hack?partition_size=128").canonical() == \
+        assert MethodSpec.parse("hack?partition_size=128").canonical() == \
             "hack?pi=128"
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'hack'"):
-            parse_method("hacck?pi=64")
+            MethodSpec.parse("hacck?pi=64")
 
     def test_unknown_parameter_suggests(self):
         with pytest.raises(ValueError, match="no parameter 'partition_siez'"):
-            parse_method("hack?partition_siez=64")
+            MethodSpec.parse("hack?partition_siez=64")
 
     def test_duplicate_parameter_rejected(self):
         with pytest.raises(ValueError, match="given twice"):
-            parse_method("hack?pi=32,partition_size=64")
+            MethodSpec.parse("hack?pi=32,partition_size=64")
 
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError, match="grammar"):
-            parse_method("hack?pi")
+            MethodSpec.parse("hack?pi")
 
     def test_type_coercion_errors(self):
         with pytest.raises(ValueError, match="integer"):
-            parse_method("hack?pi=sixty-four")
+            MethodSpec.parse("hack?pi=sixty-four")
         with pytest.raises(ValueError, match="on/off"):
-            parse_method("hack?se=maybe")
+            MethodSpec.parse("hack?se=maybe")
 
     def test_choices_enforced(self):
         with pytest.raises(ValueError, match="must be one of"):
-            parse_method("fp?bits=5")
+            MethodSpec.parse("fp?bits=5")
 
     def test_legacy_names_parse_to_their_spec(self):
-        assert parse_method("hack_pi128") == \
+        assert MethodSpec.parse("hack_pi128") == \
             MethodSpec.of("hack", partition_size=128)
 
 
@@ -122,7 +119,7 @@ class TestJsonRoundTrip:
         assert spec.canonical() == "hack?bits=4,pi=128,se=off"
 
     def test_json_round_trip_via_string(self):
-        spec = parse_method("quant?bits=8,pi=32")
+        spec = MethodSpec.parse("quant?bits=8,pi=32")
         restored = MethodSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.canonical() == spec.canonical()
@@ -134,7 +131,7 @@ class TestJsonRoundTrip:
     def test_spec_string_json_spec_triangle(self):
         """spec -> string -> spec -> dict -> spec all agree."""
         original = MethodSpec.of("hack", bits=4)
-        via_string = parse_method(original.canonical())
+        via_string = MethodSpec.parse(original.canonical())
         via_dict = MethodSpec.from_dict(via_string.to_dict())
         assert original == via_string == via_dict
 
@@ -219,10 +216,10 @@ class TestLegacyGolden:
 
     def test_legacy_names_canonicalize_to_themselves(self):
         for name in legacy_names():
-            assert canonical_method(name) == name
+            assert MethodSpec.canonical_of(name) == name
 
     def test_no_legacy_alias_shadows_another_family(self):
-        """parse_method resolves legacy aliases before families, so an
+        """MethodSpec.parse resolves legacy aliases before families, so an
         alias spelled like a registered family must name that family,
         or the family becomes unreachable by its own name."""
         families = method_families()
@@ -250,25 +247,25 @@ class TestLegacyGolden:
 
 class TestSplitMethodList:
     def test_plain_list(self):
-        assert split_method_list("baseline,hack") == ["baseline", "hack"]
+        assert split_list("baseline,hack") == ["baseline", "hack"]
 
     def test_spec_keeps_its_parameters(self):
-        assert split_method_list("baseline,hack?pi=128,bits=4,cachegen") == \
+        assert split_list("baseline,hack?pi=128,bits=4,cachegen") == \
             ["baseline", "hack?pi=128,bits=4", "cachegen"]
 
     def test_spec_first(self):
-        assert split_method_list("hack?pi=32,se=off,baseline") == \
+        assert split_list("hack?pi=32,se=off,baseline") == \
             ["hack?pi=32,se=off", "baseline"]
 
     def test_empty_tokens_skipped(self):
-        assert split_method_list("baseline,,hack,") == ["baseline", "hack"]
+        assert split_list("baseline,,hack,") == ["baseline", "hack"]
 
     def test_plus_joined_sets_keep_spec_parameters(self):
         """The CLI's methods-axis values: '+'-joined sets where only
         the last member can have an open '?' clause."""
-        assert split_method_list("baseline+hack?pi=128,bits=4,kvquant") == \
+        assert split_list("baseline+hack?pi=128,bits=4,kvquant") == \
             ["baseline+hack?pi=128,bits=4", "kvquant"]
-        assert split_method_list("hack?pi=64+baseline,kvquant") == \
+        assert split_list("hack?pi=64+baseline,kvquant") == \
             ["hack?pi=64+baseline", "kvquant"]
 
     def test_string_values_reject_grammar_metacharacters(self):
@@ -420,7 +417,6 @@ class TestMethodAxes:
         assert (new, applied) == ("hack?pi=128,se=off", {"pi"})
 
 
-@register_family("testtoy")
 class _ToyFamily(MethodFamily):
     """A perf-model-only family used to exercise the open registry."""
 
@@ -435,6 +431,12 @@ class _ToyFamily(MethodFamily):
 
 
 class TestOpenRegistry:
+    @pytest.fixture(autouse=True)
+    def toy_family(self, isolated_registries):
+        """Register ``testtoy`` for one test; ``isolated_registries``
+        unregisters it afterwards."""
+        register_family("testtoy")(_ToyFamily)
+
     def test_user_family_resolves(self):
         method = resolve_method("testtoy?keep=0.25")
         assert method.kv_wire_bytes_per_value == 0.5
@@ -452,7 +454,7 @@ class TestOpenRegistry:
             register_family("testtoy")(_ToyFamily)
 
     def test_no_accuracy_path_is_a_clear_error(self):
-        spec = method_spec("testtoy")
+        spec = MethodSpec.from_reference("testtoy")
         with pytest.raises(ValueError, match="no accuracy path"):
             spec.attention_output(None, None, None, None)
 

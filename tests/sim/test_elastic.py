@@ -29,17 +29,12 @@ from repro.sim.elastic import (
     AutoscalerPolicy,
     AutoscalerSpec,
     ElasticParam,
-    admission_spec,
     autoscaler_policies,
-    autoscaler_spec,
-    canonical_admission,
-    canonical_autoscaler,
-    parse_autoscaler,
     register_admission,
     register_autoscaler,
-    split_autoscaler_list,
 )
 from repro.workload import generate_trace, get_dataset
+from repro.spec import split_list
 
 L = get_model("L")
 RTOL = 1e-9
@@ -85,28 +80,29 @@ def _run(method="hack", mode="span", n=30, seed=0, dataset="cocktail",
 
 class TestGrammar:
     def test_parse_and_canonical_sort_params(self):
-        spec = parse_autoscaler("reactive?queue_lo=1,queue_hi=6")
+        spec = AutoscalerSpec.parse("reactive?queue_lo=1,queue_hi=6")
         assert spec.kind == "reactive"
         assert spec.canonical() == "reactive?queue_hi=6.0,queue_lo=1.0"
 
     def test_bare_family_canonical_is_bare(self):
-        assert canonical_autoscaler("static") == "static"
-        assert canonical_admission("accept_all") == "accept_all"
+        assert AutoscalerSpec.canonical_of("static") == "static"
+        assert AdmissionSpec.canonical_of("accept_all") == "accept_all"
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="reactive"):
-            parse_autoscaler("reactve?queue_hi=6")
+            AutoscalerSpec.parse("reactve?queue_hi=6")
 
     def test_unknown_param_suggests(self):
         with pytest.raises(ValueError, match="queue_hi"):
-            parse_autoscaler("reactive?queue_high=6")
+            AutoscalerSpec.parse("reactive?queue_high=6")
 
     def test_validation_rejects_inverted_thresholds(self):
         with pytest.raises(ValueError, match="queue_hi"):
-            autoscaler_spec("reactive?queue_hi=1.0,queue_lo=5.0").build()
+            AutoscalerSpec.parse("reactive?queue_hi=1.0,queue_lo=5.0").build()
 
     def test_schedule_plan_round_trips(self):
-        spec = autoscaler_spec("schedule?plan=0:1.0|60:0.5,period_s=120")
+        spec = AutoscalerSpec.from_reference(
+            "schedule?plan=0:1.0|60:0.5,period_s=120")
         assert "plan=0:1.0|60:0.5" in spec.canonical()
         policy = spec.build()
         assert policy._fraction(0.0) == 1.0
@@ -115,14 +111,14 @@ class TestGrammar:
 
     def test_schedule_plan_must_start_at_zero(self):
         with pytest.raises(ValueError, match="plan"):
-            autoscaler_spec("schedule?plan=10:0.5").build()
+            AutoscalerSpec.from_reference("schedule?plan=10:0.5").build()
 
     def test_degrade_method_resolved_at_validation(self):
         with pytest.raises(ValueError):
-            admission_spec("degrade?method=hack_int5").build()
+            AdmissionSpec.from_reference("degrade?method=hack_int5").build()
 
     def test_split_list_respects_param_commas(self):
-        items = split_autoscaler_list(
+        items = split_list(
             "static,reactive?queue_hi=6.0,queue_lo=1.0")
         assert items == ["static", "reactive?queue_hi=6.0,queue_lo=1.0"]
 
@@ -150,7 +146,7 @@ class TestRegistries:
                 return int(self.p["n"]), n_decode
 
         try:
-            spec = autoscaler_spec("test_pinned?n=2")
+            spec = AutoscalerSpec.from_reference("test_pinned?n=2")
             assert spec.build().desired(0, None, 4, 2, 4, 2) == (2, 2)
         finally:
             del autoscaler_policies()["test_pinned"]

@@ -7,56 +7,51 @@ from repro.sim import (
     FaultPlan,
     FaultSpec,
     RecoverySpec,
-    canonical_faults,
-    canonical_recovery,
     fault_families,
-    parse_faults,
-    parse_recovery,
     recovery_policies,
     register_fault,
     register_recovery,
-    split_faults_list,
-    split_recovery_list,
 )
-from repro.sim.faults import FaultFamily, FaultParam, has_fault_families
+from repro.sim.faults import FaultFamily, FaultParam
 from repro.sim.recovery import RecoveryPolicy, has_recovery_policy
+from repro.spec import split_list
 
 
 class TestFaultGrammar:
     def test_parse_and_canonical(self):
-        plan = parse_faults("replica_crash?mttr=15,mttf=120")
+        plan = FaultPlan.parse("replica_crash?mttr=15,mttf=120")
         assert plan.canonical() == "replica_crash?mttf=120.0,mttr=15.0"
 
     def test_bare_family_keeps_no_params(self):
-        plan = parse_faults("transfer_flap")
+        plan = FaultPlan.parse("transfer_flap")
         assert plan.canonical() == "transfer_flap"
         assert plan.faults[0].resolved_params() == {"p_fail": 0.05}
 
     def test_composition_preserves_order(self):
-        plan = parse_faults("transfer_flap?p_fail=0.01+replica_crash")
+        plan = FaultPlan.parse("transfer_flap?p_fail=0.01+replica_crash")
         assert plan.canonical() == \
             "transfer_flap?p_fail=0.01+replica_crash"
         assert [s.kind for s in plan.faults] == \
             ["transfer_flap", "replica_crash"]
 
     def test_repeated_family_allowed(self):
-        plan = parse_faults(
+        plan = FaultPlan.parse(
             "nic_degrade?start=10,duration=5+nic_degrade?start=50,duration=5")
         assert len(plan.faults) == 2
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="replica_crash"):
-            parse_faults("replica_crsh")
+            FaultPlan.parse("replica_crsh")
 
     def test_unknown_param_suggests(self):
         with pytest.raises(ValueError, match="mttf"):
-            parse_faults("replica_crash?mtff=60")
+            FaultPlan.parse("replica_crash?mtff=60")
 
     def test_word_param_validated(self):
-        assert parse_faults("replica_crash?role=prefill").faults[0] \
+        assert FaultPlan.parse("replica_crash?role=prefill").faults[0] \
             .resolved_params()["role"] == "prefill"
         with pytest.raises(ValueError, match="role"):
-            parse_faults("replica_crash?role=gateway")
+            FaultPlan.parse("replica_crash?role=gateway")
 
     @pytest.mark.parametrize("bad", [
         "replica_crash?mttf=0", "replica_crash?mttr=-1",
@@ -66,46 +61,46 @@ class TestFaultGrammar:
     ])
     def test_out_of_range_params_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_faults(bad)
+            FaultPlan.parse(bad)
 
     def test_duplicate_param_rejected(self):
         with pytest.raises(ValueError, match="twice"):
-            parse_faults("transfer_flap?p_fail=0.1,p_fail=0.2")
+            FaultPlan.parse("transfer_flap?p_fail=0.1,p_fail=0.2")
 
     def test_split_keeps_params_attached(self):
-        assert split_faults_list(
+        assert split_list(
             "transfer_flap,replica_crash?mttf=300,mttr=20+nic_degrade"
         ) == ["transfer_flap", "replica_crash?mttf=300,mttr=20+nic_degrade"]
 
     def test_split_continuation_only_inside_open_clause(self):
-        assert split_faults_list("nic_degrade+transfer_flap,nic_degrade") \
+        assert split_list("nic_degrade+transfer_flap,nic_degrade") \
             == ["nic_degrade+transfer_flap", "nic_degrade"]
 
     def test_has_fault_families(self):
-        assert has_fault_families("replica_crash+transfer_flap?p_fail=0.1")
-        assert not has_fault_families("replica_crash+mystery_fault")
+        assert FaultPlan.known("replica_crash+transfer_flap?p_fail=0.1")
+        assert not FaultPlan.known("replica_crash+mystery_fault")
 
     def test_canonical_accepts_plan_spec_and_string(self):
         spec = FaultSpec.of("transfer_flap", p_fail=0.1)
-        assert canonical_faults(spec) == "transfer_flap?p_fail=0.1"
-        assert canonical_faults(FaultPlan((spec,))) == \
+        assert FaultPlan.canonical_of(spec) == "transfer_flap?p_fail=0.1"
+        assert FaultPlan.canonical_of(FaultPlan((spec,))) == \
             "transfer_flap?p_fail=0.1"
-        assert canonical_faults("transfer_flap?p_fail=0.1") == \
+        assert FaultPlan.canonical_of("transfer_flap?p_fail=0.1") == \
             "transfer_flap?p_fail=0.1"
 
 
 class TestTimeline:
     def _timeline(self, text, horizon=500.0, seed=None):
-        plan = parse_faults(text)
+        plan = FaultPlan.parse(text)
         rng = np.random.default_rng(plan.rng_seed()
                                     if seed is None else seed)
         return plan.timeline(rng, horizon, n_prefill=5, n_decode=4)
 
     def test_seed_is_a_pure_function_of_the_canonical_string(self):
-        a = parse_faults("replica_crash?mttf=120,mttr=15")
-        b = parse_faults("replica_crash?mttr=15,mttf=120")
+        a = FaultPlan.parse("replica_crash?mttf=120,mttr=15")
+        b = FaultPlan.parse("replica_crash?mttr=15,mttf=120")
         assert a.rng_seed() == b.rng_seed()
-        assert a.rng_seed() != parse_faults("replica_crash").rng_seed()
+        assert a.rng_seed() != FaultPlan.parse("replica_crash").rng_seed()
 
     def test_timeline_deterministic(self):
         assert self._timeline("replica_crash?mttf=50,mttr=10,replicas=2") \
@@ -135,10 +130,10 @@ class TestTimeline:
         assert (55.0, "kv_dark", ("pool", False)) in events
 
     def test_flap_probability_composes_independently(self):
-        plan = parse_faults(
+        plan = FaultPlan.parse(
             "transfer_flap?p_fail=0.5+transfer_flap?p_fail=0.5")
         assert plan.transfer_fail_prob() == pytest.approx(0.75)
-        assert parse_faults("replica_crash").transfer_fail_prob() == 0.0
+        assert FaultPlan.parse("replica_crash").transfer_fail_prob() == 0.0
 
 
 class TestFaultRegistry:
@@ -157,7 +152,7 @@ class TestFaultRegistry:
                 return [(self.p["start"], "nic_on", 0.5)]
 
         try:
-            plan = parse_faults("test_blackout?start=3")
+            plan = FaultPlan.parse("test_blackout?start=3")
             assert plan.canonical() == "test_blackout?start=3.0"
             rng = np.random.default_rng(0)
             assert plan.timeline(rng, 100.0, 1, 1) == [(3.0, "nic_on", 0.5)]
@@ -178,13 +173,13 @@ class TestFaultRegistry:
 
 class TestRecoveryGrammar:
     def test_parse_and_canonical(self):
-        spec = parse_recovery("retry?max=5,base_s=0.5")
+        spec = RecoverySpec.parse("retry?max=5,base_s=0.5")
         assert spec.canonical() == "retry?base_s=0.5,max=5.0"
-        assert canonical_recovery("none") == "none"
+        assert RecoverySpec.canonical_of("none") == "none"
 
     def test_unknown_policy_suggests(self):
         with pytest.raises(ValueError, match="retry"):
-            parse_recovery("rety")
+            RecoverySpec.parse("rety")
 
     @pytest.mark.parametrize("bad", [
         "retry?max=0", "retry?base_s=0", "retry?base_s=10,cap_s=1",
@@ -192,12 +187,12 @@ class TestRecoveryGrammar:
     ])
     def test_out_of_range_params_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_recovery(bad)
+            RecoverySpec.parse(bad)
 
     def test_split_keeps_params_attached(self):
-        assert split_recovery_list("none,retry?max=5,base_s=0.5,migrate") \
+        assert split_list("none,retry?max=5,base_s=0.5,migrate") \
             == ["none", "retry?max=5,base_s=0.5", "migrate"]
-        assert split_recovery_list("none,migrate,retry") == \
+        assert split_list("none,migrate,retry") == \
             ["none", "migrate", "retry"]
 
     def test_has_recovery_policy(self):
@@ -214,7 +209,8 @@ class TestRecoveryPolicies:
         assert policy.delay(None, 1, np.random.default_rng(0)) is None
 
     def test_retry_backoff_doubles_within_jitter(self):
-        policy = parse_recovery("retry?max=4,base_s=1.0,cap_s=100.0").build()
+        policy = RecoverySpec.parse(
+            "retry?max=4,base_s=1.0,cap_s=100.0").build()
         rng = np.random.default_rng(0)
         for attempt in range(1, 5):
             d = policy.delay(None, attempt, rng)
@@ -223,19 +219,19 @@ class TestRecoveryPolicies:
         assert policy.delay(None, 5, rng) is None
 
     def test_retry_backoff_capped(self):
-        policy = parse_recovery("retry?max=9,base_s=1.0,cap_s=2.0").build()
+        policy = RecoverySpec.parse("retry?max=9,base_s=1.0,cap_s=2.0").build()
         rng = np.random.default_rng(0)
         for attempt in range(1, 10):
             assert policy.delay(None, attempt, rng) < 3.0
 
     def test_retry_jitter_is_deterministic_per_stream(self):
-        policy = parse_recovery("retry").build()
+        policy = RecoverySpec.parse("retry").build()
         a = policy.delay(None, 1, np.random.default_rng(7))
         b = policy.delay(None, 1, np.random.default_rng(7))
         assert a == b
 
     def test_migrate_is_immediate_until_exhausted(self):
-        policy = parse_recovery("migrate?max=2").build()
+        policy = RecoverySpec.parse("migrate?max=2").build()
         rng = np.random.default_rng(0)
         assert policy.delay(None, 1, rng) == 0.0
         assert policy.delay(None, 2, rng) == 0.0
@@ -251,7 +247,7 @@ class TestRecoveryPolicies:
                 return 0.5
 
         try:
-            assert parse_recovery("test_half").build() \
+            assert RecoverySpec.parse("test_half").build() \
                 .delay(None, 1, np.random.default_rng(0)) == 0.5
         finally:
             import repro.sim.recovery as recovery_mod

@@ -21,21 +21,20 @@ from repro.methods import get_method
 from repro.model import get_model
 from repro.sim import (
     ClusterConfig,
+    SchedulerSpec,
     SimulationResult,
-    canonical_scheduler,
     capacity_rps,
     default_cluster,
-    parse_scheduler,
     simulate,
-    split_scheduler_list,
     stage_capacities,
 )
 from repro.sim.capacity import clipped_mean_lengths
 from repro.sim.request import BUCKETS, SimRequest
-from repro.sim.scheduling import PolicySpec, SchedulerSpec
+from repro.sim.scheduling import PolicySpec
 from repro.cluster import parse_fleet_spec
 from repro.workload import generate_trace, get_dataset, merge_traces
 from repro.workload.traces import TraceRequest
+from repro.spec import split_list
 
 L = get_model("L")
 
@@ -124,70 +123,70 @@ class TestDefaultPairGolden:
 
 class TestPolicyGrammar:
     def test_single_dispatch(self):
-        spec = parse_scheduler("round_robin")
+        spec = SchedulerSpec.parse("round_robin")
         assert spec.dispatch.kind == "round_robin"
         assert spec.placement is None
         assert spec.canonical() == "round_robin"
 
     def test_single_placement(self):
-        spec = parse_scheduler("best_fit")
+        spec = SchedulerSpec.parse("best_fit")
         assert spec.dispatch is None
         assert spec.placement.kind == "best_fit"
         assert spec.canonical() == "best_fit"
 
     def test_pair_canonical_order(self):
         # Canonical form puts dispatch first regardless of input order.
-        assert canonical_scheduler("best_fit+round_robin") == \
+        assert SchedulerSpec.canonical_of("best_fit+round_robin") == \
             "round_robin+best_fit"
-        assert canonical_scheduler("round_robin+best_fit") == \
+        assert SchedulerSpec.canonical_of("round_robin+best_fit") == \
             "round_robin+best_fit"
 
     def test_params_round_trip(self):
-        text = canonical_scheduler("random?seed=7")
+        text = SchedulerSpec.canonical_of("random?seed=7")
         assert text == "random?seed=7.0"
-        assert canonical_scheduler(text) == text
+        assert SchedulerSpec.canonical_of(text) == text
 
     def test_default_spec_canonical(self):
         assert SchedulerSpec().canonical() == "splitwise+shortest_queue"
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
-            parse_scheduler("warp")
+            SchedulerSpec.parse("warp")
 
     def test_typo_suggestion(self):
         with pytest.raises(ValueError, match="splitwise"):
-            parse_scheduler("splitwize")
+            SchedulerSpec.parse("splitwize")
 
     def test_two_dispatch_policies_rejected(self):
         with pytest.raises(ValueError, match="two dispatch"):
-            parse_scheduler("splitwise+round_robin")
+            SchedulerSpec.parse("splitwise+round_robin")
 
     def test_two_placement_policies_rejected(self):
         with pytest.raises(ValueError, match="two placement"):
-            parse_scheduler("best_fit+no_swap")
+            SchedulerSpec.parse("best_fit+no_swap")
 
     def test_bad_parameter(self):
         with pytest.raises(ValueError, match="no parameter"):
-            parse_scheduler("random?foo=1")
+            SchedulerSpec.parse("random?foo=1")
         with pytest.raises(ValueError, match="bad policy parameter"):
-            parse_scheduler("random?seed")
+            SchedulerSpec.parse("random?seed")
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="seed"):
-            parse_scheduler("random?seed=-1")
+            SchedulerSpec.parse("random?seed=-1")
         with pytest.raises(ValueError, match="seed"):
-            parse_scheduler("random?seed=1.5")
+            SchedulerSpec.parse("random?seed=1.5")
 
     def test_wrong_role_slot_rejected(self):
         with pytest.raises(ValueError, match="dispatch slot"):
             SchedulerSpec(dispatch=PolicySpec("placement", "best_fit"))
 
     def test_split_scheduler_list(self):
-        assert split_scheduler_list(
+        assert split_list(
             "splitwise,random?seed=3+no_swap,least_work"
         ) == ["splitwise", "random?seed=3+no_swap", "least_work"]
         # A key=value token after an open ? clause continues the clause.
-        assert split_scheduler_list("random?seed=3,best_fit") == \
+        assert split_list("random?seed=3,best_fit") == \
             ["random?seed=3", "best_fit"]
 
 

@@ -1,29 +1,58 @@
-"""The benchmark tracer's contract with the program.
+"""The benchmark's contract with the program.
 
 ``perfbench/tracer.py`` wraps each traced call at
 ``owner.__dict__[attr]``, so every traced method must stay defined on
 the class the tracer names: a method moved to a base class, renamed or
 deleted makes every traced benchmark run raise ``KeyError``.  These
-tests install the tracer, check that it wraps and restores every target,
-and check the per-request settle counts the span engine promises.
+tests check that every target is defined where the tracer looks, install
+the tracer, check that it wraps and restores every target, and check
+the per-request settle counts the span engine promises.  They also
+import ``perfbench/workloads.py`` and set up each workload that
+``BENCHMARK.json`` declares, at smoke size, so a name the benchmark
+uses and the program lost fails here rather than in a benchmark run.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.api import Runner, Scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in ``sys.modules``.
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+
+
+def test_every_target_is_defined_where_named(tracer_module):
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracer_module._targets()
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_every_declared_workload_imports_and_sets_up():
+    workloads = _load("perfbench_workloads",
+                      ROOT / "perfbench" / "workloads.py")
+    declared = [w["name"] for w in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(workloads.WORKLOADS) == sorted(declared)
+    for name in declared:
+        assert workloads.WORKLOADS[name].setup(seed=1, smoke=True)
 
 
 def test_installs_and_restores_every_target(tracer_module):

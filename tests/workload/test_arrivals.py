@@ -8,13 +8,11 @@ from repro.workload import (
     ArrivalProcess,
     ArrivalSpec,
     arrival_processes,
-    canonical_arrival,
     generate_trace,
     merge_traces,
-    parse_arrival,
     register_arrival,
-    split_arrival_list,
 )
+from repro.spec import split_list
 
 BUILTINS = ("constant", "poisson", "gamma", "mmpp", "diurnal")
 
@@ -34,7 +32,7 @@ class TestRegistry:
 
     def test_unknown_family_suggests(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
-            parse_arrival("possion")
+            ArrivalSpec.parse("possion")
 
     def test_open_registry(self):
         @register_arrival("everyother_test", replace=True)
@@ -53,52 +51,52 @@ class TestRegistry:
 class TestGrammar:
     def test_parse_canonical_round_trip(self):
         for text in SPECS:
-            spec = parse_arrival(text)
-            assert parse_arrival(spec.canonical()) == spec
+            spec = ArrivalSpec.parse(text)
+            assert ArrivalSpec.parse(spec.canonical()) == spec
 
     def test_canonical_sorts_params(self):
-        a = canonical_arrival("mmpp?duty=0.2,burst=4")
-        b = canonical_arrival("mmpp?burst=4,duty=0.2")
+        a = ArrivalSpec.canonical_of("mmpp?duty=0.2,burst=4")
+        b = ArrivalSpec.canonical_of("mmpp?burst=4,duty=0.2")
         assert a == b == "mmpp?burst=4.0,duty=0.2"
 
     def test_explicit_default_is_kept(self):
-        assert canonical_arrival("gamma?cv=2.0") == "gamma?cv=2.0"
-        assert canonical_arrival("gamma") == "gamma"
+        assert ArrivalSpec.canonical_of("gamma?cv=2.0") == "gamma?cv=2.0"
+        assert ArrivalSpec.canonical_of("gamma") == "gamma"
 
     def test_bad_parameter_name(self):
         with pytest.raises(ValueError, match="no parameter"):
-            parse_arrival("gamma?shape=2")
+            ArrivalSpec.parse("gamma?shape=2")
 
     def test_bad_parameter_value(self):
         with pytest.raises(ValueError, match="expects a number"):
-            parse_arrival("gamma?cv=high")
+            ArrivalSpec.parse("gamma?cv=high")
 
     def test_malformed_pair(self):
         with pytest.raises(ValueError, match="bad arrival parameter"):
-            parse_arrival("gamma?cv")
+            ArrivalSpec.parse("gamma?cv")
 
     def test_duplicate_parameter(self):
         with pytest.raises(ValueError, match="given twice"):
-            parse_arrival("gamma?cv=1,cv=2")
+            ArrivalSpec.parse("gamma?cv=1,cv=2")
 
     def test_range_validation(self):
         for bad in ("gamma?cv=0", "mmpp?burst=0.5", "mmpp?duty=1.5",
                     "mmpp?dwell=-1", "diurnal?amp=1.5",
                     "diurnal?period=0"):
             with pytest.raises(ValueError):
-                parse_arrival(bad)
+                ArrivalSpec.parse(bad)
 
     def test_split_arrival_list(self):
-        assert split_arrival_list(
+        assert split_list(
             "poisson,mmpp?burst=4,duty=0.2,gamma?cv=3"
         ) == ["poisson", "mmpp?burst=4,duty=0.2", "gamma?cv=3"]
-        assert split_arrival_list("constant") == ["constant"]
+        assert split_list("constant") == ["constant"]
 
 
 class TestSampling:
     @pytest.mark.parametrize("spec", SPECS)
     def test_arrivals_sorted_and_positive(self, spec):
-        times = parse_arrival(spec).sample(
+        times = ArrivalSpec.parse(spec).sample(
             np.random.default_rng(0), rps=2.0, n=500)
         assert times.shape == (500,)
         assert times[0] > 0
@@ -106,34 +104,36 @@ class TestSampling:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_deterministic_given_seed(self, spec):
-        a = parse_arrival(spec).sample(np.random.default_rng(7), 2.0, 100)
-        b = parse_arrival(spec).sample(np.random.default_rng(7), 2.0, 100)
+        a = ArrivalSpec.parse(spec).sample(np.random.default_rng(7), 2.0, 100)
+        b = ArrivalSpec.parse(spec).sample(np.random.default_rng(7), 2.0, 100)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_long_run_rate(self, spec):
         """Every process targets the same long-run rps."""
-        times = parse_arrival(spec).sample(
+        times = ArrivalSpec.parse(spec).sample(
             np.random.default_rng(1), rps=5.0, n=8000)
         assert 8000 / times[-1] == pytest.approx(5.0, rel=0.15)
 
     def test_constant_gaps_uniform(self):
-        times = parse_arrival("constant").sample(
+        times = ArrivalSpec.parse("constant").sample(
             np.random.default_rng(0), rps=4.0, n=10)
         np.testing.assert_allclose(np.diff(times), 0.25)
 
     def test_gamma_cv_controls_burstiness(self):
         rng = np.random.default_rng(3)
-        smooth = np.diff(parse_arrival("gamma?cv=0.3").sample(rng, 2.0, 5000))
+        smooth = np.diff(
+            ArrivalSpec.parse("gamma?cv=0.3").sample(rng, 2.0, 5000))
         rng = np.random.default_rng(3)
-        bursty = np.diff(parse_arrival("gamma?cv=3.0").sample(rng, 2.0, 5000))
+        bursty = np.diff(
+            ArrivalSpec.parse("gamma?cv=3.0").sample(rng, 2.0, 5000))
         assert bursty.std() > 3 * smooth.std()
 
     def test_mmpp_burstier_than_poisson(self):
         rng = np.random.default_rng(4)
-        pois = np.diff(parse_arrival("poisson").sample(rng, 2.0, 5000))
+        pois = np.diff(ArrivalSpec.parse("poisson").sample(rng, 2.0, 5000))
         rng = np.random.default_rng(4)
-        mmpp = np.diff(parse_arrival(
+        mmpp = np.diff(ArrivalSpec.parse(
             "mmpp?burst=8.0,duty=0.1,dwell=20.0").sample(rng, 2.0, 5000))
         cv = lambda g: g.std() / g.mean()   # noqa: E731
         assert cv(mmpp) > cv(pois)
@@ -141,7 +141,7 @@ class TestSampling:
     def test_diurnal_rate_oscillates(self):
         """Arrivals cluster in the sine peaks: the peak-phase half of
         each cycle must hold well over half the arrivals."""
-        times = parse_arrival("diurnal?amp=0.9,period=100.0").sample(
+        times = ArrivalSpec.parse("diurnal?amp=0.9,period=100.0").sample(
             np.random.default_rng(5), rps=4.0, n=6000)
         phase = (times % 100.0) / 100.0
         in_peak = ((phase > 0.0) & (phase < 0.5)).mean()
@@ -149,9 +149,11 @@ class TestSampling:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            parse_arrival("poisson").sample(np.random.default_rng(0), 0.0, 5)
+            ArrivalSpec.parse("poisson").sample(
+                np.random.default_rng(0), 0.0, 5)
         with pytest.raises(ValueError):
-            parse_arrival("poisson").sample(np.random.default_rng(0), 1.0, 0)
+            ArrivalSpec.parse("poisson").sample(
+                np.random.default_rng(0), 1.0, 0)
 
 
 class TestTraceIntegration:

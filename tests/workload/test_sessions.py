@@ -4,11 +4,7 @@ prefixes, per-session SLO classes, determinism and clipping."""
 import pytest
 
 from repro.workload import generate_trace, merge_traces
-from repro.workload.arrivals import (
-    arrival_spec,
-    get_arrival_process,
-    parse_arrival,
-)
+from repro.workload.arrivals import ArrivalSpec, get_arrival_process
 
 ARRIVAL = "sessions?turns=4.0,think_time=20.0,prefix_growth=0.3,tiers=3.0"
 
@@ -81,9 +77,10 @@ class TestInvariants:
 
 class TestGrammarAndValidation:
     def test_canonicalization(self):
-        spec = parse_arrival("sessions?think_time=20,turns=4")
+        spec = ArrivalSpec.parse("sessions?think_time=20,turns=4")
         assert spec.canonical() == "sessions?think_time=20.0,turns=4.0"
-        assert arrival_spec(ARRIVAL).resolved_params()["tiers"] == 3.0
+        params = ArrivalSpec.from_reference(ARRIVAL).resolved_params()
+        assert params["tiers"] == 3.0
 
     @pytest.mark.parametrize("bad", [
         "sessions?turns=0.5",
