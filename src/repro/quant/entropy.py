@@ -3,177 +3,76 @@
 CacheGen (SIGCOMM'24) encodes quantized KV deltas into a compact
 bitstream with arithmetic coding; this module provides the codec our
 CacheGen-style comparator uses.  It is the classic Witten–Neal–Cleary
-integer arithmetic coder with an adaptive order-0 frequency model:
-both sides start from uniform counts and update after every symbol, so
-no table needs to be transmitted.
+integer arithmetic coder at 32-bit precision with an adaptive order-0
+frequency model: both sides start from uniform (add-one) counts and
+update after every symbol, so no table needs to be transmitted.
 
-The implementation favours clarity over raw speed (it is pure Python,
-driven symbol-by-symbol); the compressors keep the alphabets small
-(≤ 256 symbols) and the experiment harness measures compression ratios
-on bounded samples.
+Each side is one loop over local integers, and the bitstream is the
+one a symbol-at-a-time, bit-at-a-time coder writes:
+
+* **Bulk renormalisation.**  After a symbol narrows the interval, the
+  shared leading bits of ``low`` and ``high`` (``32 - (low ^ high)
+  .bit_length()`` of them) leave in one shift, and so does the run of
+  underflow (E3) steps that follows, counted from the leading ones of
+  ``low & ~high``.
+* **Chunked model.**  The encoder knows every symbol up front, so numpy
+  computes each symbol's cumulative bounds, ``_CHUNK_CELLS`` table cells
+  (symbols × alphabet) at a time, carrying the cumulative table from
+  chunk to chunk.  The decoder keeps a running cumulative table and
+  finds each symbol in it by bisection.
+* **Word-sized bit I/O.**  Output bits gather in a Python int flushed to
+  a ``bytearray``; input bits come through a 64-bit window, which reads
+  zeros past the end of the stream.
+
+Apart from its input and output, each side holds one chunk's table
+(``_CHUNK_CELLS`` int64 cells) or the ``n_symbols + 1``-entry
+cumulative table, so memory stays bounded however long the stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-__all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "encode", "decode"]
+__all__ = ["encode", "decode"]
 
 _PRECISION = 32
 _FULL = (1 << _PRECISION) - 1
 _HALF = 1 << (_PRECISION - 1)
 _QUARTER = 1 << (_PRECISION - 2)
-_THREE_QUARTER = _HALF + _QUARTER
+_LOW_BITS = _HALF - 1  # every bit below the top one
+
+#: Cells (symbols × alphabet entries) of the encoder's model table per
+#: numpy chunk.
+_CHUNK_CELLS = 1 << 12
 
 
-class _AdaptiveModel:
-    """Order-0 adaptive frequency model with Laplace (add-one) counts."""
-
-    def __init__(self, n_symbols: int) -> None:
-        if n_symbols < 1:
-            raise ValueError(f"alphabet must be non-empty, got {n_symbols}")
-        self.counts = [1] * n_symbols
-        self.total = n_symbols
-
-    def cumulative(self, symbol: int) -> tuple[int, int]:
-        """(cumulative count below symbol, count of symbol)."""
-        low = sum(self.counts[:symbol])
-        return low, self.counts[symbol]
-
-    def update(self, symbol: int) -> None:
-        self.counts[symbol] += 1
-        self.total += 1
-
-    def find(self, target: int) -> tuple[int, int, int]:
-        """Symbol whose cumulative interval contains ``target``."""
-        acc = 0
-        for symbol, count in enumerate(self.counts):
-            if acc + count > target:
-                return symbol, acc, count
-            acc += count
-        raise ValueError("target outside cumulative range")  # pragma: no cover
+def _check_alphabet(n_symbols: int) -> None:
+    if n_symbols < 1:
+        raise ValueError(f"alphabet must be non-empty, got {n_symbols}")
 
 
-class _BitWriter:
-    def __init__(self) -> None:
-        self._bytes = bytearray()
-        self._bit_count = 0
-        self._current = 0
+def _model_bounds(values: np.ndarray, n_symbols: int):
+    """Yield each symbol's ``(cum_low, cum_high)`` under the adaptive
+    model, as two lists per chunk of ``values``.
 
-    def write(self, bit: int) -> None:
-        self._current = (self._current << 1) | bit
-        self._bit_count += 1
-        if self._bit_count == 8:
-            self._bytes.append(self._current)
-            self._current = 0
-            self._bit_count = 0
-
-    def getvalue(self) -> bytes:
-        if self._bit_count:
-            return bytes(self._bytes) + bytes(
-                [self._current << (8 - self._bit_count)]
-            )
-        return bytes(self._bytes)
-
-
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def read(self) -> int:
-        byte_idx, bit_idx = divmod(self._pos, 8)
-        self._pos += 1
-        if byte_idx >= len(self._data):
-            return 0  # trailing zeros past the end of the stream
-        return (self._data[byte_idx] >> (7 - bit_idx)) & 1
-
-
-class ArithmeticEncoder:
-    """Streaming arithmetic encoder over a fixed alphabet."""
-
-    def __init__(self, n_symbols: int) -> None:
-        self._model = _AdaptiveModel(n_symbols)
-        self._writer = _BitWriter()
-        self._low = 0
-        self._high = _FULL
-        self._pending = 0
-
-    def encode_symbol(self, symbol: int) -> None:
-        cum_low, count = self._model.cumulative(symbol)
-        total = self._model.total
-        span = self._high - self._low + 1
-        self._high = self._low + span * (cum_low + count) // total - 1
-        self._low = self._low + span * cum_low // total
-        self._model.update(symbol)
-
-        while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTER:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-            else:
-                break
-            self._low *= 2
-            self._high = self._high * 2 + 1
-
-    def finish(self) -> bytes:
-        """Flush the final interval and return the bitstream."""
-        self._pending += 1
-        self._emit(0 if self._low < _QUARTER else 1)
-        return self._writer.getvalue()
-
-    def _emit(self, bit: int) -> None:
-        self._writer.write(bit)
-        while self._pending:
-            self._writer.write(1 - bit)
-            self._pending -= 1
-
-
-class ArithmeticDecoder:
-    """Mirror of :class:`ArithmeticEncoder`."""
-
-    def __init__(self, data: bytes, n_symbols: int) -> None:
-        self._model = _AdaptiveModel(n_symbols)
-        self._reader = _BitReader(data)
-        self._low = 0
-        self._high = _FULL
-        self._code = 0
-        for _ in range(_PRECISION):
-            self._code = (self._code << 1) | self._reader.read()
-
-    def decode_symbol(self) -> int:
-        total = self._model.total
-        span = self._high - self._low + 1
-        target = ((self._code - self._low + 1) * total - 1) // span
-        symbol, cum_low, count = self._model.find(target)
-        self._high = self._low + span * (cum_low + count) // total - 1
-        self._low = self._low + span * cum_low // total
-        self._model.update(symbol)
-
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._code -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTER:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._code -= _QUARTER
-            else:
-                break
-            self._low *= 2
-            self._high = self._high * 2 + 1
-            self._code = self._code * 2 + self._reader.read()
-        return symbol
+    ``table[i, c]`` is the model's count of symbols below ``c`` once
+    row ``i`` is counted: ``c`` add-one counts, plus every earlier
+    symbol below ``c``.  Row ``i``'s symbol ``s`` does not change
+    column ``s``, and adds one to column ``s + 1``.
+    """
+    rows = max(1, _CHUNK_CELLS // (n_symbols + 1))
+    cumulative = np.arange(n_symbols + 1, dtype=np.int64)
+    edges = np.arange(-1, n_symbols)
+    for start in range(0, values.size, rows):
+        chunk = values[start:start + rows]
+        table = np.cumsum(chunk[:, None] <= edges, axis=0, dtype=np.int64)
+        table += cumulative
+        index = np.arange(chunk.size)
+        yield (table[index, chunk].tolist(),
+               (table[index, chunk + 1] - 1).tolist())
+        cumulative = table[-1]
 
 
 def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
@@ -184,7 +83,7 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     would otherwise wrap a negative symbol around the alphabet or
     truncate a fraction, and decode something else).
     """
-    encoder = ArithmeticEncoder(n_symbols)
+    _check_alphabet(n_symbols)
     values = np.asarray(symbols).reshape(-1)
     if values.size:
         if values.dtype.kind not in "biuf":
@@ -198,13 +97,121 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
         if low < 0 or high >= n_symbols:
             raise ValueError(f"symbols must lie in [0, {n_symbols}), got "
                              f"values from {low} to {high}")
-    for symbol in values:
-        encoder.encode_symbol(int(symbol))
-    return encoder.finish()
+    values = values.astype(np.int64, copy=False)
+
+    out = bytearray()
+    bits = n_bits = 0  # output not yet flushed to ``out``
+    low, high, pending, total = 0, _FULL, 0, n_symbols
+    for cum_lows, cum_highs in _model_bounds(values, n_symbols):
+        for cum_low, cum_high in zip(cum_lows, cum_highs):
+            span = high - low + 1
+            high = low + span * cum_high // total - 1
+            low += span * cum_low // total
+            total += 1
+            shared = low ^ high
+            if shared < _HALF:
+                # E1/E2: the shared prefix is settled.  Its first bit is
+                # followed by the pending underflow bits, inverted.
+                shift = _PRECISION - shared.bit_length()
+                prefix = low >> (_PRECISION - shift)
+                if pending:
+                    rest = shift - 1
+                    head = (1 << pending) - 1 + (prefix >> rest)
+                    prefix = head << rest | prefix & ((1 << rest) - 1)
+                bits = bits << (shift + pending) | prefix
+                n_bits += shift + pending
+                pending = 0
+                low = low << shift & _FULL
+                high = (high << shift & _FULL) | ((1 << shift) - 1)
+                if n_bits >= 64:
+                    spare = n_bits & 7
+                    out += (bits >> spare).to_bytes(n_bits >> 3, "big")
+                    bits &= (1 << spare) - 1
+                    n_bits = spare
+            straddle = low & ~high
+            if straddle >= _QUARTER:
+                # E3: low = 01…, high = 10…; each step drops the second
+                # bit of both and defers one output bit.
+                shift = _PRECISION - 1 - (straddle ^ _LOW_BITS).bit_length()
+                pending += shift
+                low = low << shift & _LOW_BITS
+                high = (high << shift & _LOW_BITS) | _HALF | ((1 << shift) - 1)
+
+    # Flush: one more bit pins the final interval, then its pending bits.
+    pending += 1
+    bits = bits << (pending + 1) | (1 << pending) - (low < _QUARTER)
+    n_bits += pending + 1
+    pad = -n_bits & 7
+    out += (bits << pad).to_bytes((n_bits + pad) >> 3, "big")
+    return bytes(out)
 
 
 def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
-    """Decode ``n_values`` symbols from a bitstream."""
-    decoder = ArithmeticDecoder(data, n_symbols)
-    return np.array([decoder.decode_symbol() for _ in range(n_values)],
-                    dtype=np.int64)
+    """Decode ``n_values`` symbols from a bitstream.
+
+    Bits past the end of ``data`` read as zeros, so a truncated or
+    foreign stream decodes to some symbols rather than raising.
+    """
+    _check_alphabet(n_symbols)
+    if n_values < 0:
+        raise ValueError(f"n_values must be non-negative, got {n_values}")
+    data = bytes(data)
+    out = np.empty(n_values, dtype=np.int64)
+    # The running cumulative table ``cum`` (the count of symbols below
+    # ``j``), split at the alphabet's centre, where CacheGen's delta
+    # codes concentrate: ``below[j] = cum[j]`` for ``j <= mid`` and
+    # ``above[k] = cum[mid + 1 + k] - total``.  Counting a symbol then
+    # changes only the entries between it and the centre.
+    mid = n_symbols // 2
+    below = list(range(mid + 1))
+    above = list(range(mid + 1 - n_symbols, 1))
+
+    window = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
+    n_window, next_byte = 64 - _PRECISION, 8
+    offset = window >> n_window  # code - low
+    low, high, total = 0, _FULL, n_symbols
+    for i in range(n_values):
+        span = high - low + 1
+        target = ((offset + 1) * total - 1) // span
+        if target < below[mid]:
+            symbol = bisect_right(below, target) - 1
+            cum_low, cum_high = below[symbol], below[symbol + 1]
+            for j in range(symbol + 1, mid + 1):
+                below[j] += 1
+        else:
+            k = bisect_right(above, target - total)
+            symbol = mid + k
+            cum_low = above[k - 1] + total if k else below[mid]
+            cum_high = above[k] + total
+            for j in range(k):
+                above[j] -= 1
+        out[i] = symbol
+        high = low + span * cum_high // total - 1
+        step = span * cum_low // total
+        low += step
+        offset -= step
+        total += 1
+
+        shift = 0
+        shared = low ^ high
+        if shared < _HALF:
+            shift = _PRECISION - shared.bit_length()
+            low = low << shift & _FULL
+            high = (high << shift & _FULL) | ((1 << shift) - 1)
+        straddle = low & ~high
+        if straddle >= _QUARTER:
+            e3 = _PRECISION - 1 - (straddle ^ _LOW_BITS).bit_length()
+            low = low << e3 & _LOW_BITS
+            high = (high << e3 & _LOW_BITS) | _HALF | ((1 << e3) - 1)
+            shift += e3
+        if shift:
+            if n_window < shift:
+                word = data[next_byte:next_byte + 8].ljust(8, b"\0")
+                window = ((window & ((1 << n_window) - 1)) << 64
+                          | int.from_bytes(word, "big"))
+                n_window += 64
+                next_byte += 8
+            n_window -= shift
+            offset = (offset << shift
+                      | (window >> n_window) & ((1 << shift) - 1))
+    return out

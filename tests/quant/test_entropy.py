@@ -1,16 +1,23 @@
-"""Tests for repro.quant.entropy — the arithmetic coder."""
+"""Tests for repro.quant.entropy — the arithmetic coder.
+
+``_entropy_oracle`` is the symbol-at-a-time coder the module used to
+be; the differential tests require the rewrite to match it byte for
+byte on encode and symbol for symbol on decode, garbage included.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _entropy_oracle import ArithmeticDecoder, ArithmeticEncoder
+from _entropy_oracle import decode as oracle_decode
+from _entropy_oracle import encode as oracle_encode
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_entropy_golden import plane_bitstream
 
-from repro.quant.entropy import (
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-    decode,
-    encode,
-)
+from repro.quant import entropy
+from repro.quant.entropy import decode, encode
 
 
 class TestRoundTrip:
@@ -82,6 +89,8 @@ class TestCompression:
 
 
 class TestStreamingApi:
+    """The oracle's streaming coder agrees with the batch functions."""
+
     def test_incremental_matches_batch(self):
         rng = np.random.default_rng(2)
         syms = rng.integers(0, 8, size=100)
@@ -97,9 +106,108 @@ class TestStreamingApi:
         dec = ArithmeticDecoder(data, 8)
         assert [dec.decode_symbol() for _ in syms] == syms
 
-    def test_invalid_alphabet(self):
-        with pytest.raises(ValueError):
-            ArithmeticEncoder(0)
+    @pytest.mark.parametrize("n_symbols", [0, -3])
+    def test_invalid_alphabet(self, n_symbols):
+        with pytest.raises(ValueError, match="alphabet must be non-empty"):
+            encode(np.array([], dtype=np.int64), n_symbols)
+        with pytest.raises(ValueError, match="alphabet must be non-empty"):
+            decode(b"\x12\x34", 3, n_symbols)
+
+
+class TestDecodeChecks:
+    def test_negative_count(self):
+        """``range(-5)`` is empty, so this once decoded nothing."""
+        data = encode(np.array([1, 2, 3]), 4)
+        with pytest.raises(ValueError, match="n_values must be"):
+            decode(data, -5, 4)
+
+    def test_zero_count(self):
+        assert decode(b"\xff", 0, 4).shape == (0,)
+
+
+def _stream(kind: str, n_symbols: int, length: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.integers(0, n_symbols, size=length)
+    if kind == "skewed":  # centred, like CacheGen's delta codes
+        codes = np.rint(rng.normal(n_symbols / 2, 1 + n_symbols / 32,
+                                   size=length))
+        return np.clip(codes, 0, n_symbols - 1).astype(np.int64)
+    return np.full(length, rng.integers(0, n_symbols), dtype=np.int64)
+
+
+#: Alphabets 1–300 and lengths up to 5000: every alphabet's stream can
+#: cross the encoder's numpy chunks (``_CHUNK_CELLS // (n + 1)`` rows).
+_streams = given(kind=st.sampled_from(["uniform", "skewed", "constant"]),
+                 n_symbols=st.integers(1, 300), length=st.integers(0, 5000),
+                 seed=st.integers(0, 2**32 - 1))
+
+
+def _long_streams(test):
+    """Always run the longest streams too, which hypothesis seldom
+    draws: several chunks at the smallest and largest alphabets."""
+    for kind, n_symbols in [("constant", 1), ("uniform", 2), ("skewed", 16),
+                            ("skewed", 255), ("uniform", 300)]:
+        test = example(kind, n_symbols, 5000, 0)(test)
+    return test
+
+
+class TestMatchesOracle:
+    def test_chunks_are_shorter_than_the_longest_stream(self):
+        assert entropy._CHUNK_CELLS // 2 < 5000
+
+    @_long_streams
+    @_streams
+    @settings(max_examples=40, deadline=None)
+    def test_encode_is_byte_identical(self, kind, n_symbols, length, seed):
+        syms = _stream(kind, n_symbols, length, seed)
+        assert encode(syms, n_symbols) == oracle_encode(syms, n_symbols)
+
+    @_long_streams
+    @_streams
+    @settings(max_examples=40, deadline=None)
+    def test_decode_matches_on_valid_and_truncated_streams(
+            self, kind, n_symbols, length, seed):
+        syms = _stream(kind, n_symbols, length, seed)
+        data = encode(syms, n_symbols)
+        np.testing.assert_array_equal(decode(data, length, n_symbols), syms)
+        cut = data[:np.random.default_rng(seed).integers(0, len(data) + 1)]
+        np.testing.assert_array_equal(
+            decode(cut, length, n_symbols),
+            oracle_decode(cut, length, n_symbols))
+
+    @given(data=st.binary(max_size=64), n_values=st.integers(0, 600),
+           n_symbols=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_decode_of_random_bytes(self, data, n_values, n_symbols):
+        """Reads past the end are zeros, and no stream makes it raise."""
+        got = decode(data, n_values, n_symbols)
+        np.testing.assert_array_equal(
+            got, oracle_decode(data, n_values, n_symbols))
+        assert got.dtype == np.int64 and got.shape == (n_values,)
+
+
+class TestMemory:
+    """The coder's working set stays bounded on the ``kernels-decode``
+    plane (61,440 16-ary symbols): a whole-stream ``n × alphabet``
+    int64 model alone would take 7.9 MB."""
+
+    LIMIT = 1 << 20
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_encode_and_decode_peaks(self):
+        data = plane_bitstream(1)
+        codes = decode(data, 61_440, 16)
+        assert self._peak(lambda: encode(codes, 16)) < self.LIMIT
+        assert self._peak(lambda: decode(data, 61_440, 16)) < self.LIMIT
 
 
 class TestEncodeRejectsBadSymbols:

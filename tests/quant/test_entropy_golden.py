@@ -52,7 +52,7 @@ GOLDEN = {
 }
 
 
-def _plane_bitstream(seed: int) -> bytes:
+def plane_bitstream(seed: int) -> bytes:
     """The CacheGen bitstream of the ``kernels-decode`` plane, drawn as
     that workload draws it: after its Q/K/V streams, from one seed."""
     rng = np.random.default_rng(seed)
@@ -74,8 +74,8 @@ def _pending_e3() -> bytes:
 
 
 _CASES = {
-    "plane-seed1": lambda: _plane_bitstream(1),
-    "plane-seed2": lambda: _plane_bitstream(2),
+    "plane-seed1": lambda: plane_bitstream(1),
+    "plane-seed2": lambda: plane_bitstream(2),
     "random-2": lambda: _random(2),
     "random-16": lambda: _random(16),
     "random-256": lambda: _random(256),
