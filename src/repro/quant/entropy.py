@@ -21,8 +21,8 @@ one a symbol-at-a-time, bit-at-a-time coder writes:
   chunk to chunk.  The decoder keeps a running cumulative table and
   finds each symbol in it by bisection.
 * **Word-sized bit I/O.**  Output bits gather in a Python int flushed to
-  a ``bytearray``; input bits come through a 64-bit window, which reads
-  zeros past the end of the stream.
+  a ``bytearray``; the decoder reads the stream 64 bits at a time into
+  the bits below its code value, and reads zeros past the end.
 
 Apart from its input and output, each side holds one chunk's table
 (``_CHUNK_CELLS`` int64 cells) or the ``n_symbols + 1``-entry
@@ -32,6 +32,7 @@ cumulative table, so memory stays bounded however long the stream.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import count
 
 import numpy as np
 
@@ -41,6 +42,7 @@ _PRECISION = 32
 _FULL = (1 << _PRECISION) - 1
 _HALF = 1 << (_PRECISION - 1)
 _QUARTER = 1 << (_PRECISION - 2)
+_THREE_QUARTER = _HALF + _QUARTER
 _LOW_BITS = _HALF - 1  # every bit below the top one
 
 #: Cells (symbols × alphabet entries) of the encoder's model table per
@@ -101,41 +103,43 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
 
     out = bytearray()
     bits = n_bits = 0  # output not yet flushed to ``out``
-    low, high, pending, total = 0, _FULL, 0, n_symbols
+    low, high, pending = 0, _FULL, 0
+    totals = count(n_symbols)
     for cum_lows, cum_highs in _model_bounds(values, n_symbols):
-        for cum_low, cum_high in zip(cum_lows, cum_highs):
+        for cum_low, cum_high, total in zip(cum_lows, cum_highs, totals):
             span = high - low + 1
             high = low + span * cum_high // total - 1
             low += span * cum_low // total
-            total += 1
             shared = low ^ high
             if shared < _HALF:
                 # E1/E2: the shared prefix is settled.  Its first bit is
                 # followed by the pending underflow bits, inverted.
-                shift = _PRECISION - shared.bit_length()
-                prefix = low >> (_PRECISION - shift)
+                drop = shared.bit_length()
+                shift = _PRECISION - drop
+                prefix = low >> drop
+                low = low << shift & _FULL
+                high = (high + 1 << shift) - 1 & _FULL
                 if pending:
                     rest = shift - 1
                     head = (1 << pending) - 1 + (prefix >> rest)
                     prefix = head << rest | prefix & ((1 << rest) - 1)
-                bits = bits << (shift + pending) | prefix
-                n_bits += shift + pending
-                pending = 0
-                low = low << shift & _FULL
-                high = (high << shift & _FULL) | ((1 << shift) - 1)
+                    shift += pending
+                    pending = 0
+                bits = bits << shift | prefix
+                n_bits += shift
                 if n_bits >= 64:
                     spare = n_bits & 7
                     out += (bits >> spare).to_bytes(n_bits >> 3, "big")
                     bits &= (1 << spare) - 1
                     n_bits = spare
-            straddle = low & ~high
-            if straddle >= _QUARTER:
+            if low >= _QUARTER and high < _THREE_QUARTER:
                 # E3: low = 01…, high = 10…; each step drops the second
                 # bit of both and defers one output bit.
+                straddle = low & ~high
                 shift = _PRECISION - 1 - (straddle ^ _LOW_BITS).bit_length()
                 pending += shift
                 low = low << shift & _LOW_BITS
-                high = (high << shift & _LOW_BITS) | _HALF | ((1 << shift) - 1)
+                high = (high + 1 << shift) - 1 & _LOW_BITS | _HALF
 
     # Flush: one more bit pins the final interval, then its pending bits.
     pending += 1
@@ -166,13 +170,14 @@ def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
     below = list(range(mid + 1))
     above = list(range(mid + 1 - n_symbols, 1))
 
-    window = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
-    n_window, next_byte = 64 - _PRECISION, 8
-    offset = window >> n_window  # code - low
+    # ``value`` is code - low followed by the ``n_ahead`` stream bits
+    # read ahead of it.
+    value = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
+    n_ahead, next_byte = 64 - _PRECISION, 8
     low, high, total = 0, _FULL, n_symbols
     for i in range(n_values):
         span = high - low + 1
-        target = ((offset + 1) * total - 1) // span
+        target = (((value >> n_ahead) + 1) * total - 1) // span
         if target < below[mid]:
             symbol = bisect_right(below, target) - 1
             cum_low, cum_high = below[symbol], below[symbol + 1]
@@ -189,29 +194,24 @@ def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
         high = low + span * cum_high // total - 1
         step = span * cum_low // total
         low += step
-        offset -= step
+        value -= step << n_ahead
         total += 1
 
-        shift = 0
         shared = low ^ high
         if shared < _HALF:
             shift = _PRECISION - shared.bit_length()
             low = low << shift & _FULL
-            high = (high << shift & _FULL) | ((1 << shift) - 1)
-        straddle = low & ~high
-        if straddle >= _QUARTER:
-            e3 = _PRECISION - 1 - (straddle ^ _LOW_BITS).bit_length()
-            low = low << e3 & _LOW_BITS
-            high = (high << e3 & _LOW_BITS) | _HALF | ((1 << e3) - 1)
-            shift += e3
-        if shift:
-            if n_window < shift:
-                word = data[next_byte:next_byte + 8].ljust(8, b"\0")
-                window = ((window & ((1 << n_window) - 1)) << 64
-                          | int.from_bytes(word, "big"))
-                n_window += 64
-                next_byte += 8
-            n_window -= shift
-            offset = (offset << shift
-                      | (window >> n_window) & ((1 << shift) - 1))
+            high = (high + 1 << shift) - 1 & _FULL
+            n_ahead -= shift
+        if low >= _QUARTER and high < _THREE_QUARTER:
+            straddle = low & ~high
+            shift = _PRECISION - 1 - (straddle ^ _LOW_BITS).bit_length()
+            low = low << shift & _LOW_BITS
+            high = (high + 1 << shift) - 1 & _LOW_BITS | _HALF
+            n_ahead -= shift
+        if n_ahead < 0:
+            word = data[next_byte:next_byte + 8].ljust(8, b"\0")
+            value = value << 64 | int.from_bytes(word, "big")
+            n_ahead += 64
+            next_byte += 8
     return out
