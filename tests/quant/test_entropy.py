@@ -121,9 +121,6 @@ class TestDecodeChecks:
         with pytest.raises(ValueError, match="n_values must be"):
             decode(data, -5, 4)
 
-    def test_zero_count(self):
-        assert decode(b"\xff", 0, 4).shape == (0,)
-
 
 def _stream(kind: str, n_symbols: int, length: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
