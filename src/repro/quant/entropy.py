@@ -16,17 +16,14 @@ one a symbol-at-a-time, bit-at-a-time coder writes:
   underflow (E3) steps that follows, counted from the leading ones of
   ``low & ~high``.
 * **Chunked model.**  The encoder knows every symbol up front, so numpy
-  computes each symbol's cumulative bounds, ``_CHUNK_CELLS`` table cells
+  computes each symbol's cumulative bounds ``_CHUNK_CELLS`` table cells
   (symbols × alphabet) at a time, carrying the cumulative table from
-  chunk to chunk.  The decoder keeps a running cumulative table and
-  finds each symbol in it by bisection.
+  chunk to chunk: the working set is one chunk's table, however long
+  the stream.  The decoder keeps a running ``n_symbols + 1``-entry
+  cumulative table and finds each symbol in it by bisection.
 * **Word-sized bit I/O.**  Output bits gather in a Python int flushed to
   a ``bytearray``; the decoder reads the stream 64 bits at a time into
   the bits below its code value, and reads zeros past the end.
-
-Apart from its input and output, each side holds one chunk's table
-(``_CHUNK_CELLS`` int64 cells) or the ``n_symbols + 1``-entry
-cumulative table, so memory stays bounded however long the stream.
 """
 
 from __future__ import annotations
@@ -48,11 +45,6 @@ _LOW_BITS = _HALF - 1  # every bit below the top one
 #: Cells (symbols × alphabet entries) of the encoder's model table per
 #: numpy chunk.
 _CHUNK_CELLS = 1 << 12
-
-
-def _check_alphabet(n_symbols: int) -> None:
-    if n_symbols < 1:
-        raise ValueError(f"alphabet must be non-empty, got {n_symbols}")
 
 
 def _model_bounds(values: np.ndarray, n_symbols: int):
@@ -85,7 +77,8 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     would otherwise wrap a negative symbol around the alphabet or
     truncate a fraction, and decode something else).
     """
-    _check_alphabet(n_symbols)
+    if n_symbols < 1:
+        raise ValueError(f"alphabet must be non-empty, got {n_symbols}")
     values = np.asarray(symbols).reshape(-1)
     if values.size:
         if values.dtype.kind not in "biuf":
@@ -156,7 +149,8 @@ def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
     Bits past the end of ``data`` read as zeros, so a truncated or
     foreign stream decodes to some symbols rather than raising.
     """
-    _check_alphabet(n_symbols)
+    if n_symbols < 1:
+        raise ValueError(f"alphabet must be non-empty, got {n_symbols}")
     if n_values < 0:
         raise ValueError(f"n_values must be non-negative, got {n_values}")
     data = bytes(data)
@@ -196,7 +190,6 @@ def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
         low += step
         value -= step << n_ahead
         total += 1
-
         shared = low ^ high
         if shared < _HALF:
             shift = _PRECISION - shared.bit_length()
