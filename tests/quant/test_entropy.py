@@ -106,12 +106,12 @@ class TestStreamingApi:
         dec = ArithmeticDecoder(data, 8)
         assert [dec.decode_symbol() for _ in syms] == syms
 
-    @pytest.mark.parametrize("n_symbols", [0, -3])
-    def test_invalid_alphabet(self, n_symbols):
-        with pytest.raises(ValueError, match="alphabet must be non-empty"):
-            encode(np.array([], dtype=np.int64), n_symbols)
-        with pytest.raises(ValueError, match="alphabet must be non-empty"):
-            decode(b"\x12\x34", 3, n_symbols)
+    def test_invalid_alphabet(self):
+        for n_symbols in (0, -3):
+            with pytest.raises(ValueError, match="alphabet must be non-"):
+                encode(np.array([], dtype=np.int64), n_symbols)
+            with pytest.raises(ValueError, match="alphabet must be non-"):
+                decode(b"\x12\x34", 3, n_symbols)
 
 
 class TestDecodeChecks:
