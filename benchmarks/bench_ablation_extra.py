@@ -68,11 +68,11 @@ def test_rounding_ablation(benchmark):
 def test_int4_kernel_projection(benchmark):
     """§8 future work: an INT4 kernel should shave further JCT off HACK
     (bounded — compute is only part of the iteration)."""
-    from repro.experiments.common import run_methods
+    from repro.api import Runner, Scenario
 
     def run():
-        res = run_methods(("hack", "hack_int4"), dataset="cocktail",
-                          scale=0.3)
+        res = Runner().run(Scenario(methods=("hack", "hack_int4"),
+                                    dataset="cocktail", scale=0.3)).results
         return {m: r.avg_jct() for m, r in res.items()}
 
     jcts = run_once(benchmark, run)

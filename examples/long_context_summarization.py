@@ -14,7 +14,7 @@ from repro.cluster import replica_resources
 from repro.methods import PAPER_COMPARISON, get_method
 from repro.model import get_model
 from repro.perfmodel import (
-    iteration_latency,
+    BatchCostModel,
     kv_wire_bytes,
     prefill_time,
     transfer_time,
@@ -42,8 +42,8 @@ def one_request_story():
         pb = prefill_time(MODEL, pre, PROMPT_LEN, method)
         comm = transfer_time(MODEL, method, PROMPT_LEN, pre, dec)
         # Decode alone on the replica (batch of one).
-        iteration = iteration_latency(MODEL, dec, method,
-                                      [PROMPT_LEN + OUTPUT_LEN // 2])
+        iteration = BatchCostModel(MODEL, dec, method).iteration(
+            [PROMPT_LEN + OUTPUT_LEN // 2])
         decode_s = OUTPUT_LEN * iteration.latency_s
         total = pb.total_s + comm + decode_s
         table.add_row(name, wire_gb, pb.total_s, comm, decode_s, total)

@@ -19,7 +19,7 @@ from .artifact import (
     RunArtifact,
     compare_artifacts,
 )
-from .runner import ResolvedScenario, Runner, resolve, run_scenario, run_sweep
+from .runner import ResolvedScenario, Runner, resolve, run_sweep
 from .scenario import Scenario, model_dataset
 from .sweep import Sweep
 
@@ -32,7 +32,6 @@ __all__ = [
     "MethodRun",
     "compare_artifacts",
     "resolve",
-    "run_scenario",
     "run_sweep",
     "model_dataset",
     "SCHEMA_NAME",

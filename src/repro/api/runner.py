@@ -1,10 +1,8 @@
 """Scenario resolution and execution.
 
 :func:`resolve` turns a declarative :class:`~repro.api.scenario.Scenario`
-into concrete simulation inputs — the §7.1 defaults exactly as the
-historical ``experiments.common.run_methods`` applied them (baseline-
-capacity RPS, horizon-matched trace length, fleet-derived replica
-counts) — and :class:`Runner` executes scenarios through a pluggable
+into concrete simulation inputs — the §7.1 defaults (baseline-capacity
+RPS, horizon-matched trace length, fleet-derived replica counts) — and :class:`Runner` executes scenarios through a pluggable
 executor: serial in-process, or a ``multiprocessing`` pool with
 ``workers=N``.
 
@@ -38,8 +36,7 @@ from .scenario import (
 )
 from .sweep import Sweep
 
-__all__ = ["ResolvedScenario", "Runner", "resolve", "run_scenario",
-           "run_sweep"]
+__all__ = ["ResolvedScenario", "Runner", "resolve", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,6 @@ class Runner:
         workers = min(self.workers, len(jobs))
         with ctx.Pool(processes=workers) as pool:
             return pool.map(_run_job, jobs, chunksize=1)
-
-
-def run_scenario(scenario: Scenario, workers: int = 1) -> RunArtifact:
-    """Convenience: run one scenario."""
-    return Runner(workers=workers).run(scenario)
 
 
 def run_sweep(sweep: Sweep, workers: int = 1) -> list[RunArtifact]:

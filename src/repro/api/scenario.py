@@ -7,8 +7,7 @@ and dispatched to worker processes.  Resolution of a scenario into a
 concrete trace + cluster configs lives in :mod:`repro.api.runner`; this
 module is pure description.
 
-Field semantics follow the paper's §7.1 conventions (and are identical
-to the historical ``experiments.common.run_methods`` keywords):
+Field semantics follow the paper's §7.1 conventions:
 
 * ``rps=None`` derives the arrival rate from the *baseline* system's
   capacity at ``load_factor`` (default 1.05 — just past saturation);
@@ -25,14 +24,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
 import re
 from dataclasses import dataclass, field, replace
 
+from ..cluster.instances import parse_fleet_spec
 from ..methods import MethodSpec
 from ..model.config import ModelSpec
-from ..spec import split_list
+from ..spec import check_count, check_real, split_list
 from ..workload.datasets import get_dataset
 from .fields import FIELDS_BY_NAME, SPEC_FIELDS
 
@@ -59,22 +57,6 @@ _OPTIONAL_NAMES = tuple(f.name for f in _OPTIONAL_SPEC_FIELDS)
 _POSITIVE = ("load_factor", "rps")
 _NON_NEGATIVE = ("activation_overhead",)
 _COUNTS = ("n_requests", "n_prefill_replicas", "n_decode_replicas")
-
-
-def _check_real(name: str, value, positive: bool) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0
-            or (positive and value == 0)):
-        kind = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be a finite {kind} number, "
-                         f"got {value!r}")
-
-
-def _check_count(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be a whole number >= 1, "
-                         f"got {value!r}")
 
 
 def model_dataset(model: ModelSpec, dataset_name: str) -> tuple[str, int | None]:
@@ -189,20 +171,23 @@ class Scenario:
             if isinstance(calib, dict):
                 calib = tuple(sorted(calib.items()))
             for key, value in calib:
-                _check_real(f"calibration value {key}", value,
+                check_real(f"calibration value {key}", value,
                             positive=False)
             object.__setattr__(self, "calibration", tuple(
                 (str(k), float(v)) for k, v in calib
             ))
-        _check_real("scale", self.scale, positive=True)
+        check_real("scale", self.scale, positive=True)
+        if self.seed is not None:
+            check_count("seed", self.seed, minimum=0)
+        parse_fleet_spec(self.prefill_gpu)  # unknown GPUs fail here
         for name in _POSITIVE + _NON_NEGATIVE + _COUNTS:
             value = getattr(self, name)
             if value is None:
                 continue
             if name in _COUNTS:
-                _check_count(name, value)
+                check_count(name, value)
             else:
-                _check_real(name, value, positive=name in _POSITIVE)
+                check_real(name, value, positive=name in _POSITIVE)
         if self.step_mode not in (None, "span", "token"):
             raise ValueError(
                 f"step_mode must be 'span', 'token' or None, got "

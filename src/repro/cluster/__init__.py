@@ -1,8 +1,7 @@
-"""Cluster substrate: GPUs, instances, parallelism, network, memory."""
+"""Cluster substrate: GPUs, instances, parallelism and the network."""
 
 from .gpu import GPUS, GPUSpec, get_gpu
 from .instances import (
-    DECODE_INSTANCE,
     DEFAULT_DECODE_COUNT,
     DEFAULT_PREFILL_FLEETS,
     INSTANCES,
@@ -12,7 +11,6 @@ from .instances import (
     instance_for_gpu,
     parse_fleet_spec,
 )
-from .memory import MemoryBreakdown, MemoryModel
 from .network import NetworkModel, TransferResult
 from .parallelism import (
     ParallelismConfig,
@@ -30,14 +28,11 @@ __all__ = [
     "get_instance",
     "instance_for_gpu",
     "DEFAULT_PREFILL_FLEETS",
-    "DECODE_INSTANCE",
     "DEFAULT_DECODE_COUNT",
     "parse_fleet_spec",
     "canonical_fleet",
     "NetworkModel",
     "TransferResult",
-    "MemoryModel",
-    "MemoryBreakdown",
     "ParallelismConfig",
     "ReplicaResources",
     "get_parallelism",

@@ -33,12 +33,6 @@ class GPUSpec:
         """Whether tensor cores accelerate INT8 matmul (V100: no)."""
         return self.int8_tops > 0
 
-    def int8_speedup(self) -> float:
-        """Matmul speedup of INT8 over FP16 (1.0 when unsupported)."""
-        if not self.supports_int8_matmul:
-            return 1.0
-        return self.int8_tops / self.fp16_tflops
-
 
 #: The five GPU models of Table 2.
 GPUS: dict[str, GPUSpec] = {

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gpu import GPUS, GPUSpec
+from .gpu import GPUS, GPUSpec, get_gpu
 
 __all__ = ["InstanceSpec", "INSTANCES", "get_instance", "instance_for_gpu",
-           "DEFAULT_PREFILL_FLEETS", "DECODE_INSTANCE", "parse_fleet_spec",
+           "DEFAULT_PREFILL_FLEETS", "parse_fleet_spec",
            "canonical_fleet"]
 
 
@@ -28,14 +28,6 @@ class InstanceSpec:
     network_gbps: float
     vcpus: int
     ram_gib: int
-
-    @property
-    def total_gpu_mem_gb(self) -> float:
-        return self.gpu.mem_gb * self.n_gpus
-
-    def network_bytes_per_s(self, efficiency: float = 1.0) -> float:
-        """Achievable NIC goodput in bytes/second."""
-        return self.network_gbps / 8.0 * 1e9 * efficiency
 
 
 #: Table 2 verbatim.
@@ -67,7 +59,6 @@ DEFAULT_PREFILL_FLEETS: dict[str, int] = {
 }
 
 #: Decode always runs on "two p4de.24xlarge" (§7.1).
-DECODE_INSTANCE = "p4de.24xlarge"
 DEFAULT_DECODE_COUNT = 2
 
 
@@ -95,8 +86,8 @@ def parse_fleet_spec(text: str) -> tuple[tuple[str, int | None], ...]:
         A10G+T4         # two fleets, each at its default count
         A10G:2+T4:4     # explicit per-fleet *replica* counts
 
-    GPU names uppercase; a count (after ``:``) must be a positive
-    integer; ``None`` means "derive from the paper's default instance
+    GPU names uppercase and must name a known GPU; a count (after
+    ``:``) must be a positive integer; ``None`` means "derive from the paper's default instance
     fleet".  Repeating a GPU type is rejected (merge the counts
     instead).
     """
@@ -111,6 +102,10 @@ def parse_fleet_spec(text: str) -> tuple[tuple[str, int | None], ...]:
                 f"bad fleet spec {text!r}; the grammar is "
                 "GPU[:replicas][+GPU[:replicas]…]"
             )
+        try:
+            get_gpu(gpu)
+        except KeyError as exc:
+            raise ValueError(f"fleet spec {text!r}: {exc.args[0]}") from None
         if gpu in seen:
             raise ValueError(
                 f"fleet spec {text!r} repeats GPU {gpu!r}; merge the "

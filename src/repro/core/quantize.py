@@ -135,10 +135,6 @@ class QuantizedTensor:
             self._sums = sums
         return sums
 
-    def invalidate_sums(self) -> None:
-        """Drop memoized sums (used after in-place requantization)."""
-        self._sums = None
-
     # -- memory accounting ------------------------------------------------
 
     def code_nbytes(self) -> int:

@@ -1,116 +1,18 @@
-"""Shared experiment machinery (§7.1 defaults) — now a thin layer over
-:mod:`repro.api`.
+"""Shared experiment machinery — a thin layer over :mod:`repro.api`.
 
 Every experiment module expresses its grid as declarative
 :class:`~repro.api.Scenario` / :class:`~repro.api.Sweep` definitions and
-runs them through a :class:`~repro.api.Runner`.  The historical
-:func:`run_methods` keyword interface is kept for tests, benchmarks and
-notebooks; it simply builds a Scenario and returns the simulation
-results from its artifact.
+runs them through a :class:`~repro.api.Runner`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from ..api.artifact import RunArtifact
 from ..api.runner import Runner
-from ..api.scenario import (
-    DEFAULT_LOAD_FACTOR,
-    DEFAULT_N_REQUESTS,
-    DEFAULT_SEED,
-    Scenario,
-    model_dataset,
-)
 from ..api.sweep import Sweep
-from ..model.config import MODEL_LETTERS as MODEL_REGISTRY, ModelSpec
-from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from ..sim.engine import SimulationResult
 
-__all__ = ["ExperimentDefaults", "DEFAULTS", "run_methods", "jct_reduction",
-           "model_dataset", "make_scenario", "run_grid"]
-
-
-@dataclass(frozen=True)
-class ExperimentDefaults:
-    """Trace size and load shared by the JCT experiments."""
-
-    n_requests: int = DEFAULT_N_REQUESTS
-    load_factor: float = DEFAULT_LOAD_FACTOR
-    seed: int = DEFAULT_SEED
-
-
-DEFAULTS = ExperimentDefaults()
-
-
-def make_scenario(
-    methods: tuple[str, ...],
-    model: str | ModelSpec = "L",
-    prefill_gpu: str = "A10G",
-    dataset: str = "cocktail",
-    n_requests: int | None = None,
-    load_factor: float | None = None,
-    seed: int | None = None,
-    pipelining: bool = False,
-    calib: Calibration = DEFAULT_CALIBRATION,
-    rps: float | None = None,
-    scale: float = 1.0,
-) -> Scenario:
-    """Build a Scenario from the historical ``run_methods`` keywords."""
-    if isinstance(model, ModelSpec):
-        # Scenarios are JSON-serializable, so they reference models by
-        # registry name; an unregistered or modified spec cannot be
-        # expressed and must not be silently swapped for the stock one.
-        registered = MODEL_REGISTRY.get(model.letter)
-        if registered != model:
-            raise ValueError(
-                f"model spec {model.name!r} is not the registry entry for "
-                f"letter {model.letter!r}; scenarios reference models by "
-                "registry name — register the spec or pass its name"
-            )
-        model_name = model.letter
-    else:
-        model_name = model
-    overrides = None
-    if calib != DEFAULT_CALIBRATION:
-        defaults = dataclasses.asdict(DEFAULT_CALIBRATION)
-        overrides = tuple(
-            (k, v) for k, v in sorted(dataclasses.asdict(calib).items())
-            if v != defaults[k]
-        )
-    return Scenario(model=model_name, methods=tuple(methods),
-                    dataset=dataset, prefill_gpu=prefill_gpu,
-                    n_requests=n_requests, load_factor=load_factor,
-                    seed=seed, pipelining=pipelining, rps=rps, scale=scale,
-                    calibration=overrides)
-
-
-def run_methods(
-    methods: tuple[str, ...],
-    model: str | ModelSpec = "L",
-    prefill_gpu: str = "A10G",
-    dataset: str = "cocktail",
-    n_requests: int | None = None,
-    load_factor: float | None = None,
-    seed: int | None = None,
-    pipelining: bool = False,
-    calib: Calibration = DEFAULT_CALIBRATION,
-    rps: float | None = None,
-    scale: float = 1.0,
-) -> dict[str, SimulationResult]:
-    """Simulate one (model, GPU, dataset) cell for several methods.
-
-    All methods replay the *same trace* at the *baseline's* capacity
-    rate, exactly as the paper compares them.  ``scale`` multiplies the
-    trace length (use < 1 for quick runs).
-    """
-    scenario = make_scenario(methods, model=model, prefill_gpu=prefill_gpu,
-                             dataset=dataset, n_requests=n_requests,
-                             load_factor=load_factor, seed=seed,
-                             pipelining=pipelining, calib=calib, rps=rps,
-                             scale=scale)
-    return Runner().run(scenario).results
+__all__ = ["jct_reduction", "run_grid"]
 
 
 def run_grid(sweep: Sweep, scale: float = 1.0,

@@ -76,11 +76,6 @@ class ScaleStudy:
     def render(self) -> str:
         return self.table.render()
 
-    def static_reference(self, arrival: str = ARRIVALS[0],
-                         method: str = "hack") -> SimulationResult:
-        """The peak-sized static fleet cell for ``arrival``."""
-        return self.results[(arrival, "static", None, method)]
-
 
 def _add_rows(table: Table, results: dict, artifacts) -> None:
     for art in artifacts:

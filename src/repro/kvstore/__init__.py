@@ -22,22 +22,17 @@ service-aware per-request compression-selection layer.
 
 from .selection import (
     CompressionSelectionPolicy,
-    SelectionParam,
     SelectionSpec,
-    get_selection_policy,
-    has_selection_policy,
     register_selection,
     selection_policies,
 )
 from .spec import (
     DEFAULT_EVICTION,
     DEFAULT_STORE,
-    EvictionParam,
     EvictionPolicy,
     EvictionSpec,
     KVStoreFamily,
     KVStoreSpec,
-    TierParam,
     eviction_policies,
     get_eviction_policy,
     get_kvstore_family,
@@ -49,8 +44,6 @@ from .store import CacheEntry, CacheHit, TierDef, TieredKVStore, TierState
 
 __all__ = [
     # spec
-    "TierParam",
-    "EvictionParam",
     "EvictionPolicy",
     "EvictionSpec",
     "KVStoreFamily",
@@ -70,11 +63,8 @@ __all__ = [
     "CacheHit",
     "TieredKVStore",
     # selection
-    "SelectionParam",
     "CompressionSelectionPolicy",
     "SelectionSpec",
     "register_selection",
-    "get_selection_policy",
     "selection_policies",
-    "has_selection_policy",
 ]

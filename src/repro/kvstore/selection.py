@@ -35,19 +35,11 @@ from ..methods.spec import resolve_method
 from ..spec import Param, Policy, Registry, Spec
 
 __all__ = [
-    "SelectionParam",
     "CompressionSelectionPolicy",
     "SelectionSpec",
     "register_selection",
-    "get_selection_policy",
     "selection_policies",
-    "has_selection_policy",
 ]
-
-#: A policy parameter: the shared :class:`~repro.spec.Param` (a float,
-#: or a word-safe string — typically a method reference).
-SelectionParam = Param
-
 
 class CompressionSelectionPolicy(Policy):
     """Picks the compression :class:`Method` for one arriving request.
@@ -67,9 +59,7 @@ class CompressionSelectionPolicy(Policy):
 _SELECTIONS = Registry("selection policy", CompressionSelectionPolicy,
                        role="selection", key="selection_policies")
 register_selection = _SELECTIONS.register
-get_selection_policy = _SELECTIONS.get
 selection_policies = _SELECTIONS.catalog
-has_selection_policy = _SELECTIONS.has
 
 
 @dataclass(frozen=True)
@@ -109,10 +99,10 @@ class SLOTierSelection(CompressionSelectionPolicy):
     description = ("map the request's SLO class to a method (KVServe-"
                    "style: looser tiers absorb stronger compression)")
     params = {
-        "tier0": SelectionParam(
+        "tier0": Param(
             "baseline", "method for SLO class 0 (strictest)"),
-        "tier1": SelectionParam("hack", "method for SLO class 1"),
-        "tier2": SelectionParam(
+        "tier1": Param("hack", "method for SLO class 1"),
+        "tier2": Param(
             "hack_int4", "method for SLO class >= 2 (loosest)"),
     }
 
@@ -138,11 +128,11 @@ class CongestionSelection(CompressionSelectionPolicy):
     description = ("switch to the strong method while pooled-store "
                    "occupancy or NIC backlog is high (hysteresis)")
     params = {
-        "hi": SelectionParam(0.75, "signal level that arms strong mode"),
-        "lo": SelectionParam(0.5, "signal level that disarms it"),
-        "strong": SelectionParam(
+        "hi": Param(0.75, "signal level that arms strong mode"),
+        "lo": Param(0.5, "signal level that disarms it"),
+        "strong": Param(
             "hack_int4", "method used while congested"),
-        "nic_s": SelectionParam(
+        "nic_s": Param(
             1.0, "NIC backlog (seconds) that saturates the signal"),
     }
 

@@ -32,8 +32,6 @@ from ..spec import Family, Param, Policy, Registry, Spec, names_all, \
     parse_clause, share_namespace, split_plus
 
 __all__ = [
-    "TierParam",
-    "EvictionParam",
     "EvictionPolicy",
     "EvictionSpec",
     "KVStoreFamily",
@@ -51,11 +49,6 @@ __all__ = [
 #: Defaults when a part is omitted from the grammar.
 DEFAULT_STORE = "tiered"
 DEFAULT_EVICTION = "lru"
-
-#: Eviction- and store-family parameters: the shared
-#: :class:`~repro.spec.Param`.
-EvictionParam = TierParam = Param
-
 
 class EvictionPolicy(Policy):
     """Decides which cache entry leaves a full tier.
@@ -226,7 +219,7 @@ class TTLEviction(EvictionPolicy):
     description = ("drop entries idle longer than ``seconds`` (session "
                    "lifetime); capacity pressure falls back to LRU")
     params = {
-        "seconds": EvictionParam(300.0, "idle time before an entry expires"),
+        "seconds": Param(300.0, "idle time before an entry expires"),
     }
 
     @classmethod
@@ -257,15 +250,15 @@ class TieredStoreFamily(KVStoreFamily):
     description = ("three-tier prefix cache: GPU HBM, host DRAM, pooled "
                    "store (capacities GB, bandwidths GB/s)")
     params = {
-        "hbm_gb": TierParam(4.0, "GPU HBM set aside for cached KV, GB"),
-        "dram_gb": TierParam(32.0, "host DRAM tier capacity, GB"),
-        "pool_gb": TierParam(256.0, "pooled-store tier capacity, GB"),
-        "hbm_read": TierParam(1500.0, "HBM tier read bandwidth, GB/s"),
-        "hbm_write": TierParam(1500.0, "HBM tier write bandwidth, GB/s"),
-        "dram_read": TierParam(20.0, "DRAM tier read bandwidth, GB/s"),
-        "dram_write": TierParam(20.0, "DRAM tier write bandwidth, GB/s"),
-        "pool_read": TierParam(8.0, "pooled-store read bandwidth, GB/s"),
-        "pool_write": TierParam(8.0, "pooled-store write bandwidth, GB/s"),
+        "hbm_gb": Param(4.0, "GPU HBM set aside for cached KV, GB"),
+        "dram_gb": Param(32.0, "host DRAM tier capacity, GB"),
+        "pool_gb": Param(256.0, "pooled-store tier capacity, GB"),
+        "hbm_read": Param(1500.0, "HBM tier read bandwidth, GB/s"),
+        "hbm_write": Param(1500.0, "HBM tier write bandwidth, GB/s"),
+        "dram_read": Param(20.0, "DRAM tier read bandwidth, GB/s"),
+        "dram_write": Param(20.0, "DRAM tier write bandwidth, GB/s"),
+        "pool_read": Param(8.0, "pooled-store read bandwidth, GB/s"),
+        "pool_write": Param(8.0, "pooled-store write bandwidth, GB/s"),
     }
 
     def validate(self, **p) -> None:

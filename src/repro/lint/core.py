@@ -50,11 +50,6 @@ class Finding:
     message: str
     rule: str = ""  #: rule name slug, e.g. ``unseeded-module-rng``
 
-    def signature(self) -> tuple[str, str, str]:
-        """Baseline identity: line numbers drift as files are edited,
-        so grandfathered findings match on (code, path, message)."""
-        return (self.code, self.path, self.message)
-
     def to_dict(self) -> dict:
         return {"path": self.path, "line": self.line, "code": self.code,
                 "message": self.message, "rule": self.rule}
@@ -66,8 +61,8 @@ class Finding:
 class FileContext:
     """One parsed source file, with its pragma map.
 
-    ``relpath`` is the repo-root-relative posix path the scoping and
-    baseline machinery key on; tests may pass a synthetic one to lint a
+    ``relpath`` is the repo-root-relative posix path the rule scoping
+    and pragma matching key on; tests may pass a synthetic one to lint a
     fixture *as if* it lived elsewhere (e.g. under ``src/repro/sim/``).
     """
 

@@ -1,10 +1,10 @@
-"""Walking, rule dispatch, pragma suppression and the baseline gate.
+"""Walking, rule dispatch and pragma suppression.
 
 :func:`run_lint` is the one entry point the CLI, the CI gate, the
 benchmark and the meta-test all share: collect files, run every file
-rule in scope plus the project rules, drop pragma-suppressed findings
-(flagging pragmas that suppressed nothing), then split what remains
-against the committed baseline.  Explicit ``paths`` restrict the walk
+rule in scope plus the project rules, then drop pragma-suppressed
+findings (flagging pragmas that suppressed nothing).  Whatever remains
+fails the gate.  Explicit ``paths`` restrict the walk
 to those files and skip project rules — that mode lints *files*, not
 the repository invariants around them (it is what the CI fixture-smoke
 uses to prove the gate can fail).
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import BASELINE_NAME, load_baseline, split_baselined
 from .core import FileContext, Finding, ProjectContext, lint_rules
 from . import rules as _rules  # noqa: F401  (registers the built-ins)
 
@@ -36,14 +35,10 @@ class LintResult:
 
     root: Path
     n_files: int
-    #: Findings not absorbed by the baseline — the gate fails on these.
+    #: Unsuppressed findings — the gate fails on any of these.
     findings: list[Finding] = field(default_factory=list)
-    #: Findings the committed baseline grandfathers.
-    baselined: list[Finding] = field(default_factory=list)
     #: Findings silenced by a ``lint-ignore`` pragma.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (ratchet candidates).
-    stale_baseline: list[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -55,13 +50,9 @@ class LintResult:
             "n_files": self.n_files,
             "counts": {
                 "new": len(self.findings),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": [f.to_dict() for f in self.stale_baseline],
         }
 
 
@@ -120,10 +111,8 @@ def _syntax_findings(ctx: FileContext) -> list[Finding]:
 
 def run_lint(root: Path | None = None, *,
              paths: list[Path] | None = None,
-             baseline_path: Path | None = None,
-             use_baseline: bool = True,
              select: tuple[str, ...] = ()) -> LintResult:
-    """Lint the repo (or ``paths``) and gate against the baseline.
+    """Lint the repo (or ``paths``).
 
     ``select`` restricts to rule codes with any of the given prefixes
     (e.g. ``("REPRO1", "REPRO604")``); a prefix that matches no
@@ -157,15 +146,8 @@ def run_lint(root: Path | None = None, *,
     kept, suppressed = _apply_pragmas(project, raw)
     kept.extend(_unused_pragmas(project, files, suppressed,
                                 select=select))
-
-    baseline: list[Finding] = []
-    if use_baseline:
-        baseline = load_baseline(
-            baseline_path or root / BASELINE_NAME)
-    new, baselined, stale = split_baselined(kept, baseline)
-    return LintResult(root=root, n_files=len(files), findings=new,
-                      baselined=baselined, suppressed=sorted(suppressed),
-                      stale_baseline=stale)
+    return LintResult(root=root, n_files=len(files),
+                      findings=sorted(kept), suppressed=sorted(suppressed))
 
 
 def _apply_pragmas(project: ProjectContext, raw: list[Finding]):

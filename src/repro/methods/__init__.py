@@ -26,7 +26,6 @@ from .spec import (
     MethodSpec,
     ParamDef,
     apply_method_params,
-    get_family,
     legacy_names,
     method_families,
     register_family,
@@ -47,7 +46,6 @@ __all__ = [
     "MethodFamily",
     "ParamDef",
     "register_family",
-    "get_family",
     "method_families",
     "resolve_method",
     "apply_method_params",

@@ -79,10 +79,6 @@ class Method:
         """Wire-size reduction vs FP16, in [0, 1)."""
         return 1.0 - self.kv_wire_bytes_per_value / FP16_BYTES
 
-    @property
-    def is_quantized(self) -> bool:
-        return self.kv_wire_bytes_per_value < FP16_BYTES
-
     def __post_init__(self) -> None:
         if self.kv_wire_bytes_per_value <= 0:
             raise ValueError("kv_wire_bytes_per_value must be positive")

@@ -53,7 +53,6 @@ __all__ = [
     "MethodFamily",
     "ParamDef",
     "register_family",
-    "get_family",
     "method_families",
     "register_legacy_alias",
     "legacy_names",
@@ -119,7 +118,6 @@ _FAMILIES = Registry("method family", MethodFamily, role="method",
 #:         params = {"knob": ParamDef(1.0)}
 #:         def build_method(self, *, knob): ...
 register_family = _FAMILIES.register
-get_family = _FAMILIES.get
 method_families = _FAMILIES.catalog
 
 

@@ -73,17 +73,6 @@ class ModelSpec:
         embed = self.vocab_size * h
         return self.n_layers * per_layer + 2 * embed
 
-    def flops_per_token(self, context_len: int = 0) -> float:
-        """Forward flops for one token: ~2·params plus attention O(L)."""
-        attn_flops = 4 * self.n_layers * self.n_heads * self.head_dim * context_len
-        return 2.0 * self.n_params + attn_flops
-
-    def prefill_flops(self, prompt_len: int) -> float:
-        """Forward flops for a full prompt (quadratic attention term)."""
-        linear = 2.0 * self.n_params * prompt_len
-        attn = 2.0 * self.n_layers * self.n_heads * self.head_dim * prompt_len ** 2
-        return linear + attn
-
 
 def _spec(**kwargs) -> ModelSpec:
     return ModelSpec(**kwargs)

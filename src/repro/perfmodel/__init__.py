@@ -1,4 +1,6 @@
-"""Analytic performance model: prefill, decode, transfer, calibration."""
+"""Analytic performance model: prefill, decode (one
+:class:`BatchCostModel` per replica and method), transfer and
+calibration."""
 
 from .calibration import Calibration, DEFAULT_CALIBRATION, calibrated
 from .decode import (
@@ -6,9 +8,7 @@ from .decode import (
     IterationTiming,
     RequestDecodeCosts,
     SpanTotals,
-    iteration_latency,
     param_read_time,
-    request_decode_costs,
 )
 from .prefill import PrefillBreakdown, attention_rate_tflops, prefill_time
 from .transfer import kv_wire_bytes, make_network_model, transfer_time
@@ -24,8 +24,6 @@ __all__ = [
     "IterationTiming",
     "BatchCostModel",
     "SpanTotals",
-    "request_decode_costs",
-    "iteration_latency",
     "param_read_time",
     "kv_wire_bytes",
     "transfer_time",

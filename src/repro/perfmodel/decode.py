@@ -41,8 +41,7 @@ from ..model.config import ModelSpec
 from .calibration import Calibration, DEFAULT_CALIBRATION
 
 __all__ = ["RequestDecodeCosts", "IterationTiming", "SpanTotals",
-           "SpanVectors", "BatchCostModel", "param_read_time",
-           "request_decode_costs", "iteration_latency"]
+           "SpanVectors", "BatchCostModel", "param_read_time"]
 
 
 @dataclass(frozen=True)
@@ -430,32 +429,3 @@ class BatchCostModel:
         cum = self.span_cumlat(ctx0, k)
         return min(int(np.searchsorted(cum, elapsed_s, side="left")) + 1, k)
 
-
-def request_decode_costs(
-    spec: ModelSpec,
-    replica: ReplicaResources,
-    method: Method,
-    ctx_len: int,
-    calib: Calibration = DEFAULT_CALIBRATION,
-) -> RequestDecodeCosts:
-    """Per-iteration costs of one request with ``ctx_len`` cached tokens.
-
-    Thin wrapper over :class:`BatchCostModel`; construct the model once
-    instead when evaluating many contexts.
-    """
-    return BatchCostModel(spec, replica, method, calib).request_costs(ctx_len)
-
-
-def iteration_latency(
-    spec: ModelSpec,
-    replica: ReplicaResources,
-    method: Method,
-    ctx_lens: list[int],
-    calib: Calibration = DEFAULT_CALIBRATION,
-) -> IterationTiming:
-    """Latency of one continuous-batching iteration over ``ctx_lens``.
-
-    Thin wrapper over :class:`BatchCostModel` (see
-    :meth:`BatchCostModel.iteration`).
-    """
-    return BatchCostModel(spec, replica, method, calib).iteration(ctx_lens)

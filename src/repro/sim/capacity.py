@@ -13,7 +13,7 @@ from ..cluster.parallelism import replica_resources
 from ..methods.registry import get_method
 from ..model.config import ModelSpec
 from ..perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from ..perfmodel.decode import iteration_latency
+from ..perfmodel.decode import BatchCostModel
 from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import transfer_time
 from ..workload.datasets import DatasetSpec, get_dataset
@@ -48,7 +48,7 @@ def stage_capacities(config: ClusterConfig, dataset: DatasetSpec,
     Prefill: one request at a time per replica at the mean prompt
     length.  NIC: each prefill replica's NIC serializes its outgoing KV
     transfers.  Decode: each replica runs a memory-capped batch; its
-    rate is ``batch / (output_len · iteration_latency)``.  Prefill and
+    rate is ``batch / (output_len · iteration latency)``.  Prefill and
     NIC rates sum over the (possibly heterogeneous) prefill fleets.
     """
     spec = config.model
@@ -83,8 +83,8 @@ def stage_capacities(config: ClusterConfig, dataset: DatasetSpec,
         config.method.kv_mem_bytes_per_value
     )
     batch = max(1, int(capacity / per_request))
-    timing = iteration_latency(spec, dec, config.method,
-                               [mean_in + mean_out // 2] * batch, calib)
+    timing = BatchCostModel(spec, dec, config.method, calib).iteration(
+        [mean_in + mean_out // 2] * batch)
     decode_time = mean_out * timing.latency_s
     decode_rps = config.n_decode_replicas * batch / decode_time
     return prefill_rps, nic_rps, decode_rps

@@ -50,12 +50,8 @@ __all__ = [
     "AdmissionSpec",
     "register_autoscaler",
     "register_admission",
-    "get_autoscaler",
-    "get_admission",
     "autoscaler_policies",
     "admission_policies",
-    "has_autoscaler_policy",
-    "has_admission_policy",
 ]
 
 #: The do-nothing defaults the engine runs when none is configured.
@@ -144,12 +140,8 @@ _ADMISSIONS = Registry("admission policy", AdmissionPolicy,
                        role="admission", key="admission_policies")
 register_autoscaler = _AUTOSCALERS.register
 register_admission = _ADMISSIONS.register
-get_autoscaler = _AUTOSCALERS.get
-get_admission = _ADMISSIONS.get
 autoscaler_policies = _AUTOSCALERS.catalog
 admission_policies = _ADMISSIONS.catalog
-has_autoscaler_policy = _AUTOSCALERS.has
-has_admission_policy = _ADMISSIONS.has
 
 
 @dataclass(frozen=True)

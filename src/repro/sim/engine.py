@@ -85,6 +85,7 @@ from ..perfmodel.decode import BatchCostModel, SpanVectors
 from ..perfmodel.prefill import prefill_time
 from ..perfmodel.transfer import DEFAULT_PIPELINE_STAGES, kv_wire_bytes, \
     make_network_model
+from ..spec import check_count, check_real
 from ..workload.traces import TraceRequest
 from .elastic import AdmissionSpec, AutoscalerSpec, DEFAULT_ADMISSION, \
     DEFAULT_AUTOSCALER
@@ -201,6 +202,10 @@ class ClusterConfig:
     admission: AdmissionSpec | None = None
 
     def __post_init__(self) -> None:
+        check_count("n_prefill_replicas", self.n_prefill_replicas)
+        check_count("n_decode_replicas", self.n_decode_replicas)
+        check_real("activation_overhead", self.activation_overhead,
+                   positive=False)
         if self.step_mode not in ("span", "token"):
             raise ValueError(
                 f"step_mode must be 'span' or 'token', got "
@@ -564,10 +569,6 @@ class SimulationResult:
         return sum(r.kv_access_s / r.jct for r in self.requests) / len(
             self.requests
         )
-
-    def jct_percentile(self, p: float) -> float:
-        """JCT at percentile ``p`` (nearest-rank over finished requests)."""
-        return nearest_rank(sorted(r.jct for r in self.requests), p)
 
     # -- serving metrics (TTFT / TBT / SLO) -----------------------------------
 

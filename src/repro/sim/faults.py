@@ -50,7 +50,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "register_fault",
-    "get_fault_family",
     "fault_families",
 ]
 
@@ -98,7 +97,6 @@ class FaultFamily(Policy):
 _FAULTS = Registry("fault family", FaultFamily, role="fault",
                    key="fault_families")
 register_fault = _FAULTS.register
-get_fault_family = _FAULTS.get
 fault_families = _FAULTS.catalog
 
 

@@ -36,11 +36,9 @@ import numpy as np
 from ..spec import Param, Policy, Registry, Spec
 
 __all__ = [
-    "RecoveryParam",
     "RecoveryPolicy",
     "RecoverySpec",
     "register_recovery",
-    "get_recovery_policy",
     "recovery_policies",
     "has_recovery_policy",
     "DEFAULT_RECOVERY",
@@ -48,10 +46,6 @@ __all__ = [
 
 #: The policy a faulted run gets when none is configured explicitly.
 DEFAULT_RECOVERY = "retry"
-
-#: A policy parameter: the shared :class:`~repro.spec.Param`.
-RecoveryParam = Param
-
 
 class RecoveryPolicy(Policy):
     """Decides the fate of one fault-interrupted request attempt.
@@ -71,7 +65,6 @@ class RecoveryPolicy(Policy):
 _RECOVERIES = Registry("recovery policy", RecoveryPolicy, role="recovery",
                        key="recovery_policies")
 register_recovery = _RECOVERIES.register
-get_recovery_policy = _RECOVERIES.get
 recovery_policies = _RECOVERIES.catalog
 has_recovery_policy = _RECOVERIES.has
 
@@ -103,9 +96,9 @@ class RetryRecovery(RecoveryPolicy):
     description = ("exponential backoff with seeded jitter; the request "
                    "fails once max attempts are exhausted")
     params = {
-        "max": RecoveryParam(3.0, "retry budget (attempts before failing)"),
-        "base_s": RecoveryParam(1.0, "first-retry backoff, seconds"),
-        "cap_s": RecoveryParam(30.0, "backoff ceiling, seconds"),
+        "max": Param(3.0, "retry budget (attempts before failing)"),
+        "base_s": Param(1.0, "first-retry backoff, seconds"),
+        "cap_s": Param(30.0, "backoff ceiling, seconds"),
     }
 
     @classmethod
@@ -139,7 +132,7 @@ class MigrateRecovery(RecoveryPolicy):
                    "policies (the crashed replica is excluded while "
                    "down); fails after max attempts")
     params = {
-        "max": RecoveryParam(5.0, "migration budget (attempts before "
+        "max": Param(5.0, "migration budget (attempts before "
                                   "failing)"),
     }
 

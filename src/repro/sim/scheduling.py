@@ -55,8 +55,6 @@ __all__ = [
     "PolicySpec",
     "SchedulerSpec",
     "register_policy",
-    "get_dispatch_policy",
-    "get_placement_policy",
     "dispatch_policies",
     "placement_policies",
     "DEFAULT_DISPATCH",
@@ -130,8 +128,6 @@ _ROLES = {"dispatch": _DISPATCH, "placement": _PLACEMENT}
 # A bare name in the pair grammar must resolve to exactly one role.
 share_namespace(_DISPATCH, _PLACEMENT)
 
-get_dispatch_policy = _DISPATCH.get
-get_placement_policy = _PLACEMENT.get
 dispatch_policies = _DISPATCH.catalog
 placement_policies = _PLACEMENT.catalog
 

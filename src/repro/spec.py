@@ -34,7 +34,9 @@ This module holds the parts every family shares:
   single-clause spec derives from: normalisation, ``of``,
   ``resolved_params``, ``canonical`` and ``parse``;
 * :func:`parse_clause`, :func:`split_plus` and :func:`split_list` — the
-  grammar itself.
+  grammar itself;
+* :func:`check_real` and :func:`check_count` — the plain numeric field
+  checks that scenarios and cluster configs share.
 
 A spec's ``params`` holds only the parameters given explicitly, under
 their long names, coerced and sorted, so different spellings of one spec
@@ -47,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import math
+import numbers
 import re
 from dataclasses import KW_ONLY, dataclass
 from typing import ClassVar
@@ -58,6 +61,8 @@ __all__ = [
     "Reference",
     "Registry",
     "Spec",
+    "check_count",
+    "check_real",
     "format_value",
     "names_all",
     "parse_clause",
@@ -74,6 +79,24 @@ _FALSE_TOKENS = frozenset({"off", "false", "no", "0"})
 #: Grammar metacharacters: a string value holding one would
 #: canonicalize to a string that cannot re-parse.
 _METACHARS = ",=?+ "
+
+
+def check_real(name: str, value, positive: bool) -> None:
+    """Reject anything but a finite real >= 0 (> 0 when ``positive``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {kind} number, "
+                         f"got {value!r}")
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject anything but a whole number >= ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, "
+                         f"got {value!r}")
 
 
 def suggest(name: str, candidates) -> str:

@@ -7,7 +7,6 @@ from .arrivals import (
     ArrivalSpec,
     arrival_processes,
     get_arrival_process,
-    has_arrival_process,
     register_arrival,
 )
 from .datasets import (
@@ -18,8 +17,7 @@ from .datasets import (
     SHORT_SEQUENCE_DATASETS,
     get_dataset,
 )
-from .traces import Trace, TraceRequest, capped_trace, generate_trace, \
-    merge_traces
+from .traces import Trace, TraceRequest, generate_trace, merge_traces
 
 __all__ = [
     "DATASETS",
@@ -31,13 +29,11 @@ __all__ = [
     "TraceRequest",
     "Trace",
     "generate_trace",
-    "capped_trace",
     "merge_traces",
     "ArrivalParam",
     "ArrivalProcess",
     "ArrivalSpec",
     "arrival_processes",
     "get_arrival_process",
-    "has_arrival_process",
     "register_arrival",
 ]

@@ -55,7 +55,6 @@ __all__ = [
     "register_arrival",
     "get_arrival_process",
     "arrival_processes",
-    "has_arrival_process",
 ]
 
 #: A family parameter: the shared :class:`~repro.spec.Param`.
@@ -99,7 +98,6 @@ _ARRIVALS = Registry("arrival process", ArrivalProcess, role="arrival",
 register_arrival = _ARRIVALS.register
 get_arrival_process = _ARRIVALS.get
 arrival_processes = _ARRIVALS.catalog
-has_arrival_process = _ARRIVALS.has
 
 
 @dataclass(frozen=True)

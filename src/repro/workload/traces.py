@@ -18,8 +18,7 @@ import numpy as np
 from .arrivals import ArrivalSpec, get_arrival_process
 from .datasets import DatasetSpec, get_dataset
 
-__all__ = ["TraceRequest", "Trace", "generate_trace", "capped_trace",
-           "merge_traces"]
+__all__ = ["TraceRequest", "Trace", "generate_trace", "merge_traces"]
 
 
 @dataclass(frozen=True)
@@ -160,13 +159,6 @@ def generate_trace(
         n_input_clipped=n_in_clipped,
         n_output_clipped=n_out_clipped,
     )
-
-
-def capped_trace(dataset: str | DatasetSpec, rps: float, n_requests: int,
-                 model_max_context: int, seed: int = 0) -> Trace:
-    """Convenience wrapper: trace clipped to a model's context window."""
-    return generate_trace(dataset, rps, n_requests, seed=seed,
-                          max_context=model_max_context)
 
 
 def merge_traces(*traces: list[TraceRequest]) -> Trace:

@@ -169,37 +169,6 @@ class TestArtifactIO:
         assert "requests.jct_s" in diff["methods"]["hack"]
 
 
-class TestRunMethodsEquivalence:
-    def test_wrapper_matches_api(self):
-        """experiments.common.run_methods is a thin view over the API."""
-        from repro.experiments.common import run_methods
-
-        old = run_methods(("baseline", "hack"), dataset="imdb",
-                          n_requests=16, seed=3)
-        new = Runner().run(SMALL).results
-        for method in ("baseline", "hack"):
-            assert old[method].avg_jct() == new[method].avg_jct()
-            assert old[method].peak_memory_fraction == \
-                new[method].peak_memory_fraction
-
-    def test_registry_model_spec_accepted(self):
-        from repro.experiments.common import make_scenario
-
-        scenario = make_scenario(("baseline",), model=get_model("Y"))
-        assert scenario.model == "Y"
-
-    def test_modified_model_spec_rejected(self):
-        """A non-registry spec must fail loudly, not be silently swapped
-        for the stock model of the same letter."""
-        import dataclasses
-
-        from repro.experiments.common import run_methods
-
-        tweaked = dataclasses.replace(get_model("L"), max_context=4096)
-        with pytest.raises(ValueError, match="registry"):
-            run_methods(("baseline",), model=tweaked, n_requests=10)
-
-
 def _strict_json(text: str):
     """Parse ``text``, rejecting the non-standard NaN/Infinity tokens."""
     def reject(token):

@@ -113,6 +113,17 @@ class TestScenarioNumbers:
         with pytest.raises(ValueError, match="activation_overhead"):
             Scenario(activation_overhead=bad)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, NAN, "7", True])
+    def test_seed(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            Scenario(seed=bad)
+
+    def test_unknown_prefill_gpu(self):
+        with pytest.raises(ValueError, match="unknown GPU 'Z80'.*A10G"):
+            Scenario(prefill_gpu="Z80")
+        with pytest.raises(ValueError, match="unknown GPU 'Z80'"):
+            Scenario(prefill_gpu="A10G:2+Z80")
+
     @pytest.mark.parametrize("bad", [NAN, -INF, -0.5, "fast"])
     def test_calibration_values(self, bad):
         with pytest.raises(ValueError, match="calibration value kv_bw_eff"):
@@ -121,7 +132,8 @@ class TestScenarioNumbers:
     def test_valid_values_still_construct(self):
         s = Scenario(load_factor=1, rps=0.25, scale=0.5, n_requests=12,
                      n_prefill_replicas=3, n_decode_replicas=1,
-                     activation_overhead=0.0,
+                     activation_overhead=0.0, seed=0,
+                     prefill_gpu="a10g+T4",
                      calibration={"kv_bw_eff": 0.1})
         assert s.load_factor == 1 and s.activation_overhead == 0.0
 

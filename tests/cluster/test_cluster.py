@@ -1,11 +1,10 @@
-"""Tests for repro.cluster — GPUs, instances, parallelism, network, memory."""
+"""Tests for repro.cluster — GPUs, instances, parallelism and the network."""
 
 import pytest
 
 from repro.cluster import (
     DEFAULT_PREFILL_FLEETS,
     GPUS,
-    MemoryModel,
     NetworkModel,
     get_gpu,
     get_instance,
@@ -13,7 +12,6 @@ from repro.cluster import (
     instance_for_gpu,
     replica_resources,
 )
-from repro.model import get_model
 
 
 class TestGpuRegistry:
@@ -23,11 +21,12 @@ class TestGpuRegistry:
     def test_v100_lacks_int8(self):
         """The Fig. 12 premise: V100 tensor cores have no INT8 path."""
         assert not get_gpu("V100").supports_int8_matmul
-        assert get_gpu("V100").int8_speedup() == 1.0
+        assert get_gpu("V100").int8_tops == 0
 
     def test_others_have_int8_2x(self):
         for name in ("A10G", "T4", "L4", "A100"):
-            assert get_gpu(name).int8_speedup() == pytest.approx(2.0)
+            gpu = get_gpu(name)
+            assert gpu.int8_tops / gpu.fp16_tflops == pytest.approx(2.0)
 
     def test_case_insensitive_lookup(self):
         assert get_gpu("a10g") is GPUS["A10G"]
@@ -52,7 +51,8 @@ class TestInstanceRegistry:
         expected = {"g5.12xlarge": 96, "p3.8xlarge": 64, "g4dn.12xlarge": 64,
                     "g6.12xlarge": 96, "p4de.24xlarge": 640}
         for name, gib in expected.items():
-            assert get_instance(name).total_gpu_mem_gb == gib
+            inst = get_instance(name)
+            assert inst.gpu.mem_gb * inst.n_gpus == gib
 
     def test_instance_for_gpu(self):
         assert instance_for_gpu("A10G").name == "g5.12xlarge"
@@ -63,9 +63,13 @@ class TestInstanceRegistry:
                                           "L4": 10, "A100": 2}
 
     def test_network_bytes_per_s(self):
-        inst = get_instance("g5.12xlarge")
-        assert inst.network_bytes_per_s(1.0) == pytest.approx(5e9)
-        assert inst.network_bytes_per_s(0.5) == pytest.approx(2.5e9)
+        """Table 2's Gbps become goodput bytes/s on the link the
+        network model times (g5.12xlarge sending to p4de.24xlarge)."""
+        gbps = get_instance("g5.12xlarge").network_gbps
+        assert NetworkModel(efficiency=1.0).goodput(gbps, 400) == \
+            pytest.approx(5e9)
+        assert NetworkModel(efficiency=0.5).goodput(gbps, 400) == \
+            pytest.approx(2.5e9)
 
 
 class TestParallelism:
@@ -173,54 +177,3 @@ class TestNetworkModel:
             net.transfer_time(-1, 40, 400)
         with pytest.raises(ValueError):
             net.pipelined_exposed_time(1e9, 40, 400, 1.0, 0)
-
-
-class TestMemoryModel:
-    def test_baseline_footprint_components(self):
-        spec = get_model("L")
-        model = MemoryModel(spec)
-        bd = model.breakdown(n_requests=10, avg_seq_len=16000)
-        assert bd.params == spec.n_params * 2
-        assert bd.kv == pytest.approx(10 * 16000 * spec.kv_bytes_per_token())
-        assert bd.total > bd.params
-
-    def test_quantized_kv_much_smaller(self):
-        spec = get_model("L")
-        fp16 = MemoryModel(spec, kv_bytes_per_value=2.0)
-        q2 = MemoryModel(spec, kv_bytes_per_value=0.3125)
-        b_fp = fp16.breakdown(20, 16000)
-        b_q = q2.breakdown(20, 16000)
-        assert b_q.kv < 0.17 * b_fp.kv
-
-    def test_max_concurrent_requests(self):
-        spec = get_model("L")
-        model = MemoryModel(spec)
-        n = model.max_concurrent_requests(320.0, 16400)
-        # ~100 GB of KV headroom past weights+workspace / 5.2 GB per
-        # request.
-        assert 15 <= n <= 25
-
-    def test_quantization_triples_concurrency(self):
-        spec = get_model("L")
-        fp16 = MemoryModel(spec, kv_bytes_per_value=2.0)
-        q2 = MemoryModel(spec, kv_bytes_per_value=0.3125)
-        assert q2.max_concurrent_requests(320.0, 16400) > \
-            3 * fp16.max_concurrent_requests(320.0, 16400)
-
-    def test_sum_overhead_accounted(self):
-        spec = get_model("L")
-        model = MemoryModel(spec, kv_bytes_per_value=0.3125, sum_overhead=0.05)
-        bd = model.breakdown(10, 16000)
-        assert bd.sums == pytest.approx(0.05 * bd.kv)
-
-    def test_fraction_of(self):
-        spec = get_model("L")
-        bd = MemoryModel(spec).breakdown(0, 1)
-        assert 0 < bd.fraction_of(320e9) < 1
-
-    def test_validation(self):
-        spec = get_model("L")
-        with pytest.raises(ValueError):
-            MemoryModel(spec, kv_bytes_per_value=0)
-        with pytest.raises(ValueError):
-            MemoryModel(spec, sum_overhead=1.5)

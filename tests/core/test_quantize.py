@@ -204,14 +204,6 @@ class TestPartitionSums:
         )
         np.testing.assert_array_equal(sums, expected)
 
-    def test_invalidate_sums(self):
-        x = make_rng(12).normal(size=(4, 8))
-        qt = quantize(x, 2, axis=1, partition_size=4, rng=make_rng(1))
-        qt.partition_sums()
-        assert qt._sums is not None
-        qt.invalidate_sums()
-        assert qt._sums is None
-
     def test_sums_fit_declared_storage(self):
         """Sums never exceed the bit width reserved for them (§5.3)."""
         x = make_rng(13).normal(size=(8, 128))

@@ -16,7 +16,8 @@ from repro.experiments import (
     table6_accuracy,
     table8_sensitivity,
 )
-from repro.experiments.common import model_dataset, run_methods
+from repro.api import Runner, Scenario
+from repro.api.scenario import model_dataset
 from repro.model import get_model
 
 SCALE = 0.12
@@ -40,7 +41,8 @@ class TestCommon:
         assert cap is None
 
     def test_same_trace_for_all_methods(self):
-        res = run_methods(("baseline", "hack"), scale=SCALE)
+        res = Runner().run(Scenario(methods=("baseline", "hack"),
+                                    scale=SCALE)).results
         base_ids = [r.request_id for r in res["baseline"].requests]
         hack_ids = [r.request_id for r in res["hack"].requests]
         assert base_ids == hack_ids
@@ -94,8 +96,12 @@ class TestFig2to4:
         fig = result.by_dataset["cachegen"]
         dequant_ratio = {d: vals[2] for d, vals in fig.series.items()}
         assert dequant_ratio["arxiv"] > 2.5 * dequant_ratio["imdb"]
-        res_long = run_methods(("cachegen",), dataset="arxiv", scale=SCALE)
-        res_short = run_methods(("cachegen",), dataset="imdb", scale=SCALE)
+        res_long = Runner().run(Scenario(methods=("cachegen",),
+                                         dataset="arxiv",
+                                         scale=SCALE)).results
+        res_short = Runner().run(Scenario(methods=("cachegen",),
+                                          dataset="imdb",
+                                          scale=SCALE)).results
         t_long = res_long["cachegen"].mean_decomposition()["dequant_or_approx"]
         t_short = res_short["cachegen"].mean_decomposition()["dequant_or_approx"]
         assert t_long > 10 * t_short

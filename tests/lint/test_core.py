@@ -24,9 +24,6 @@ class TestFinding:
                                "code": "REPRO101", "message": "m",
                                "rule": "r"}
 
-    def test_signature_ignores_line(self):
-        assert _finding(line=3).signature() == _finding(line=9).signature()
-
     def test_sort_order_is_path_then_line(self):
         a = _finding(path="a.py", line=9)
         b = _finding(path="b.py", line=1)

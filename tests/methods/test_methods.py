@@ -43,7 +43,6 @@ class TestRegistry:
     def test_baseline_is_fp16(self):
         base = get_method("baseline")
         assert base.kv_wire_bytes_per_value == 2.0
-        assert not base.is_quantized
         assert base.compression_ratio == 0.0
 
     def test_comparators_86_percent(self):

@@ -10,46 +10,14 @@ from repro.cluster import replica_resources
 from repro.methods import get_method
 from repro.methods.registry import METHODS
 from repro.model import get_model
-from repro.perfmodel import (
-    BatchCostModel,
-    iteration_latency,
-    request_decode_costs,
-)
+from repro.perfmodel import BatchCostModel
 
 L = get_model("L")
 A100 = replica_resources(L, "A100")
-V100 = replica_resources(L, "V100")
 
 
-def _model(method_name: str, replica=A100) -> BatchCostModel:
-    return BatchCostModel(L, replica, get_method(method_name))
-
-
-class TestWrapperEquivalence:
-    """The legacy functions are thin wrappers — results are identical."""
-
-    @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_request_costs_bit_identical(self, method):
-        model = _model(method)
-        for ctx in (1, 63, 64, 65, 1000, 16000):
-            a = model.request_costs(ctx)
-            b = request_decode_costs(L, A100, get_method(method), ctx)
-            assert a == b
-
-    @pytest.mark.parametrize("method", ("baseline", "cachegen", "hack",
-                                        "hack_nose", "hack_norqe"))
-    def test_iteration_bit_identical(self, method):
-        ctxs = [100, 5000, 16000, 321]
-        a = _model(method).iteration(ctxs)
-        b = iteration_latency(L, A100, get_method(method), ctxs)
-        assert a.latency_s == b.latency_s
-        assert a.per_request == b.per_request
-
-    def test_no_int8_on_v100(self):
-        """V100 lacks INT8 tensor cores; HACK falls back to FP16 rates."""
-        hack = _model("hack", V100).request_costs(16000)
-        base = _model("baseline", V100).request_costs(16000)
-        assert hack.compute_s >= base.compute_s
+def _model(method_name: str) -> BatchCostModel:
+    return BatchCostModel(L, A100, get_method(method_name))
 
 
 class TestSpanClosedForm:

@@ -7,12 +7,11 @@ from repro.methods import get_method, hack_method
 from repro.model import get_model
 from repro.perfmodel import (
     DEFAULT_CALIBRATION,
+    BatchCostModel,
     calibrated,
-    iteration_latency,
     kv_wire_bytes,
     param_read_time,
     prefill_time,
-    request_decode_costs,
     transfer_time,
 )
 
@@ -98,59 +97,65 @@ class TestPrefill:
 class TestDecode:
     def test_param_read_is_floor(self):
         shared = param_read_time(L, A100)
-        costs = request_decode_costs(L, A100, BASELINE, 16000)
+        costs = BatchCostModel(L, A100, BASELINE).request_costs(16000)
         assert shared > costs.kv_read_s  # weights dominate one request
 
     def test_kv_read_scales_with_method_bytes(self):
-        base = request_decode_costs(L, A100, BASELINE, 16000)
-        hack = request_decode_costs(L, A100, HACK, 16000)
+        base = BatchCostModel(L, A100, BASELINE).request_costs(16000)
+        hack = BatchCostModel(L, A100, HACK).request_costs(16000)
         ratio = hack.kv_read_s / base.kv_read_s
         assert 0.13 <= ratio <= 0.18  # ~2-bit + metadata vs FP16
 
     def test_dequant_only_for_comparators(self):
-        assert request_decode_costs(L, A100, CACHEGEN, 16000).dequant_s > 0
-        assert request_decode_costs(L, A100, BASELINE, 16000).dequant_s == 0
-        assert request_decode_costs(L, A100, HACK, 16000).dequant_s == 0
+        assert BatchCostModel(L, A100, CACHEGEN).request_costs(16000).dequant_s > 0
+        assert BatchCostModel(L, A100, BASELINE).request_costs(16000).dequant_s == 0
+        assert BatchCostModel(L, A100, HACK).request_costs(16000).dequant_s == 0
 
     def test_kvquant_dequant_costlier_than_cachegen(self):
-        cg = request_decode_costs(L, A100, CACHEGEN, 16000).dequant_s
-        kq = request_decode_costs(L, A100, get_method("kvquant"), 16000).dequant_s
+        cg = BatchCostModel(L, A100, CACHEGEN).request_costs(16000).dequant_s
+        kq = BatchCostModel(L, A100, get_method("kvquant")).request_costs(16000).dequant_s
         assert kq > cg
 
     def test_dequant_dwarfs_approximation(self):
         """The paper's core claim (§5.3): Eq. 4 corrections cost far
         less than per-iteration dequantization at long context."""
-        cg = request_decode_costs(L, A100, CACHEGEN, 16000)
-        hack = request_decode_costs(L, A100, HACK, 16000)
+        cg = BatchCostModel(L, A100, CACHEGEN).request_costs(16000)
+        hack = BatchCostModel(L, A100, HACK).request_costs(16000)
         assert hack.approx_s < 0.1 * cg.dequant_s
 
     def test_no_se_much_more_expensive(self):
         """Fig. 13: recomputing sums every iteration is costly."""
-        with_se = request_decode_costs(L, A100, HACK, 16000)
-        without = request_decode_costs(L, A100, get_method("hack_nose"), 16000)
+        with_se = BatchCostModel(L, A100, HACK).request_costs(16000)
+        without = BatchCostModel(L, A100, get_method("hack_nose")).request_costs(16000)
         assert without.approx_s > 10 * with_se.approx_s
 
     def test_no_rqe_pays_requant(self):
-        norqe = request_decode_costs(L, A100, get_method("hack_norqe"), 16000)
+        norqe = BatchCostModel(L, A100, get_method("hack_norqe")).request_costs(16000)
         assert norqe.requant_s > 0
-        assert request_decode_costs(L, A100, HACK, 16000).requant_s == 0
+        assert BatchCostModel(L, A100, HACK).request_costs(16000).requant_s == 0
+
+    def test_no_int8_on_v100(self):
+        """V100 lacks INT8 tensor cores; HACK falls back to FP16 rates."""
+        hack = BatchCostModel(L, V100, HACK).request_costs(16000)
+        base = BatchCostModel(L, V100, BASELINE).request_costs(16000)
+        assert hack.compute_s >= base.compute_s
 
     def test_iteration_latency_grows_with_batch(self):
-        one = iteration_latency(L, A100, BASELINE, [16000]).latency_s
-        eight = iteration_latency(L, A100, BASELINE, [16000] * 8).latency_s
+        one = BatchCostModel(L, A100, BASELINE).iteration([16000]).latency_s
+        eight = BatchCostModel(L, A100, BASELINE).iteration([16000] * 8).latency_s
         assert eight > one
         assert eight < 8 * one  # parameters amortize across the batch
 
     def test_hack_iteration_faster_than_baseline(self):
-        base = iteration_latency(L, A100, BASELINE, [16000] * 8).latency_s
-        hack = iteration_latency(L, A100, HACK, [16000] * 8).latency_s
+        base = BatchCostModel(L, A100, BASELINE).iteration([16000] * 8).latency_s
+        hack = BatchCostModel(L, A100, HACK).iteration([16000] * 8).latency_s
         assert hack < base
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            request_decode_costs(L, A100, BASELINE, 0)
+            BatchCostModel(L, A100, BASELINE).request_costs(0)
         with pytest.raises(ValueError):
-            iteration_latency(L, A100, BASELINE, [])
+            BatchCostModel(L, A100, BASELINE).iteration([])
 
 
 class TestTransfer:

@@ -6,7 +6,9 @@ and admission specs reach :class:`ClusterConfig` unchanged through
 by :data:`CLUSTER_SPEC_FIELDS`.  These tests pin that a grammar string,
 its spec object and ``default_cluster`` build the same config, that a bad
 string fails at construction, and that the engine's table agrees with
-the scenario's :data:`~repro.api.fields.SPEC_FIELDS`.
+the scenario's :data:`~repro.api.fields.SPEC_FIELDS`.  They also pin that
+a fleet which cannot serve is rejected at construction, as
+:class:`~repro.api.Scenario` rejects it.
 """
 
 import dataclasses
@@ -79,3 +81,16 @@ def test_malformed_string_fails_at_construction(name):
             dataclasses.replace(_base(), **{name: bad})
         with pytest.raises(ValueError):
             default_cluster(L, HACK, "A10G", **{name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("n_prefill_replicas", 0),      # would park every request forever
+    ("n_decode_replicas", 0),       # would fail inside the engine
+    ("activation_overhead", float("nan")),  # would reach the summary
+    ("activation_overhead", -0.9),  # would shrink the weights
+])
+def test_fleet_that_cannot_serve_is_rejected(name, bad):
+    with pytest.raises(ValueError, match=name):
+        default_cluster(L, HACK, "A10G", **{name: bad})
+    with pytest.raises(ValueError, match=name):
+        Scenario(**{name: bad})

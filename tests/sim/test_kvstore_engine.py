@@ -46,8 +46,10 @@ def _run_both(method="hack", trace=None, **cfg_kwargs):
 
 def _assert_equivalent(token, span):
     assert _close(token.avg_jct(), span.avg_jct())
+    token_summary, span_summary = token.summary(), span.summary()
     for p in (50, 95, 99):
-        assert _close(token.jct_percentile(p), span.jct_percentile(p))
+        key = f"p{p}_jct_s"
+        assert _close(token_summary[key], span_summary[key])
     assert token.kvstore_stats == span.kvstore_stats
     assert token.selection_mix == span.selection_mix
     assert len(token.requests) == len(span.requests)

@@ -247,6 +247,8 @@ class TestHeterogeneousFleets:
             parse_fleet_spec("A10G:0")
         with pytest.raises(ValueError, match="count"):
             parse_fleet_spec("A10G:x")
+        with pytest.raises(ValueError, match="choose from .*'V100'"):
+            parse_fleet_spec("A10G+Z80")
 
     def test_default_cluster_mixed_fleet(self):
         config = default_cluster(L, get_method("hack"), "A10G+T4")
@@ -428,7 +430,7 @@ class TestEmptyAggregates:
         assert empty.slo_goodput_rps() == 0.0
         assert empty.mean_kv_access_ratio() == 0.0
         assert empty.mean_normalized_latency() == 0.0
-        assert empty.jct_percentile(99) == 0.0
+        assert empty.summary()["p99_jct_s"] == 0.0
         assert empty.generated_tokens() == 0
 
     def test_summary_json_round_trips(self, empty):

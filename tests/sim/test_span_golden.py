@@ -17,14 +17,23 @@ and shedding admission, selection without a store, a tiered store
 under sessions, NIC brownout with transfer flaps, prefill crashes, and
 the explicit ``static`` autoscaler with ``accept_all`` admission.
 
+One scenario also runs in two child interpreters with different
+``PYTHONHASHSEED`` values: its digests must not depend on the order in
+which sets and string-keyed hashes iterate.
+
 Regenerate a digest only for an intended behaviour change:
 ``PYTHONPATH=src python tests/sim/test_span_golden.py``.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Runner, Scenario
 from repro.sim import engine
 
@@ -175,6 +184,26 @@ def _digests(fields: dict) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_span_output_is_pinned(name):
     assert _digests(SCENARIOS[name]) == GOLDEN[name]
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    """The syntactic set-iteration lint (REPRO103) run for real: the
+    richest scenario (store, selection, faults, autoscaler) gives the
+    same digests under two string-hash seeds."""
+    name = "sessions-tiered/seed1"
+    code = ("from test_span_golden import SCENARIOS, _digests; "
+            f"print(*_digests(SCENARIOS[{name!r}]))")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("pipelining", (False, True))

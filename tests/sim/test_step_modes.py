@@ -46,8 +46,10 @@ def _assert_equivalent(token, span):
     assert token.n_swapped == span.n_swapped
     assert _close(token.peak_memory_fraction, span.peak_memory_fraction)
     assert _close(token.avg_jct(), span.avg_jct())
+    token_summary, span_summary = token.summary(), span.summary()
     for p in (50, 95, 99):
-        assert _close(token.jct_percentile(p), span.jct_percentile(p))
+        key = f"p{p}_jct_s"
+        assert _close(token_summary[key], span_summary[key])
     assert len(token.requests) == len(span.requests)
     for rt, rs in zip(token.requests, span.requests):
         assert rt.request_id == rs.request_id
