@@ -2,9 +2,9 @@
 
 :func:`resolve` turns a declarative :class:`~repro.api.scenario.Scenario`
 into concrete simulation inputs — the §7.1 defaults (baseline-capacity
-RPS, horizon-matched trace length, fleet-derived replica counts) — and :class:`Runner` executes scenarios through a pluggable
-executor: serial in-process, or a ``multiprocessing`` pool with
-``workers=N``.
+RPS, horizon-matched trace length, fleet-derived replica counts) — and
+:class:`Runner` executes scenarios through a pluggable executor: serial
+in-process, or a ``multiprocessing`` pool with ``workers=N``.
 
 Parallelism is per (scenario, method): every method of every scenario
 is an independent simulation over a deterministic trace, so the

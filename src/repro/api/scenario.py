@@ -172,7 +172,7 @@ class Scenario:
                 calib = tuple(sorted(calib.items()))
             for key, value in calib:
                 check_real(f"calibration value {key}", value,
-                            positive=False)
+                           positive=False)
             object.__setattr__(self, "calibration", tuple(
                 (str(k), float(v)) for k, v in calib
             ))

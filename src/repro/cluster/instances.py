@@ -87,9 +87,9 @@ def parse_fleet_spec(text: str) -> tuple[tuple[str, int | None], ...]:
         A10G:2+T4:4     # explicit per-fleet *replica* counts
 
     GPU names uppercase and must name a known GPU; a count (after
-    ``:``) must be a positive integer; ``None`` means "derive from the paper's default instance
-    fleet".  Repeating a GPU type is rejected (merge the counts
-    instead).
+    ``:``) must be a positive integer; ``None`` means "derive from the
+    paper's default instance fleet".  Repeating a GPU type is rejected
+    (merge the counts instead).
     """
     fleets: list[tuple[str, int | None]] = []
     seen: set[str] = set()

@@ -5,6 +5,8 @@ These use small scales — the benchmarks run the full-size versions.
 
 import pytest
 
+from repro.api import Runner, Scenario
+from repro.api.scenario import model_dataset
 from repro.experiments import (
     fig1_motivation,
     fig2_4_quant_overhead,
@@ -16,8 +18,6 @@ from repro.experiments import (
     table6_accuracy,
     table8_sensitivity,
 )
-from repro.api import Runner, Scenario
-from repro.api.scenario import model_dataset
 from repro.model import get_model
 
 SCALE = 0.12

@@ -92,5 +92,3 @@ def test_malformed_string_fails_at_construction(name):
 def test_fleet_that_cannot_serve_is_rejected(name, bad):
     with pytest.raises(ValueError, match=name):
         default_cluster(L, HACK, "A10G", **{name: bad})
-    with pytest.raises(ValueError, match=name):
-        Scenario(**{name: bad})
