@@ -14,10 +14,10 @@ from _entropy_oracle import decode as oracle_decode
 from _entropy_oracle import encode as oracle_encode
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_entropy_golden import plane_bitstream
+from test_entropy_golden import every_step_renormalises, plane_bitstream
 
 from repro.quant import entropy
-from repro.quant.entropy import decode, encode
+from repro.quant.entropy import decode, encode, lane_decode, lane_encode
 
 
 class TestRoundTrip:
@@ -234,3 +234,138 @@ class TestEncodeRejectsBadSymbols:
     def test_empty_input_is_still_valid(self):
         assert encode(np.array([], dtype=float), 4) == \
             encode(np.array([], dtype=int), 4)
+
+
+#: Both sides of every lane-count step a 0–5000 stream crosses (one
+#: lane per 512 symbols), and of the step to the 128-lane cap; the
+#: last row is short at most of them (1025 symbols on 3 lanes, …).
+_LANE_STEPS = sorted({0, 1, 65_024, 65_025, 65_536, 65_537}
+                     | {k * 512 + d for k in range(1, 10) for d in (0, 1)})
+
+
+class TestLanes:
+    def test_lane_count_steps(self):
+        assert [entropy._lanes(n) for n in (0, 1, 512, 513, 1025, 65_024,
+                                            65_025, 10**6)] == \
+            [1, 1, 1, 2, 3, 127, 128, 128]
+
+    @pytest.mark.parametrize("length", _LANE_STEPS)
+    def test_roundtrip_at_lane_steps(self, length):
+        syms = _stream("skewed", 16, length, length)
+        data = lane_encode(syms, 16)
+        np.testing.assert_array_equal(lane_decode(data, length, 16), syms)
+
+    @_long_streams
+    @_streams
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_over_alphabets_and_lengths(self, kind, n_symbols,
+                                                  length, seed):
+        syms = _stream(kind, n_symbols, length, seed)
+        data = lane_encode(syms, n_symbols)
+        got = lane_decode(data, length, n_symbols)
+        np.testing.assert_array_equal(got, syms)
+        assert got.dtype == np.int64
+
+    def test_every_lane_renormalises_every_step(self):
+        """One slot per symbol: a 16-bit word per symbol, after a table
+        of two bytes per symbol."""
+        syms = every_step_renormalises()
+        data = lane_encode(syms, 1 << 16)
+        assert len(data) > 4 * syms.size
+        np.testing.assert_array_equal(
+            lane_decode(data, syms.size, 1 << 16), syms)
+
+    def test_constant_stream_moves_no_words(self):
+        """A one-symbol table leaves every state where it started."""
+        assert lane_encode(np.full(4000, 7), 16) == \
+            bytes([0, 7, 0xFF, 0x1F]) + bytes(8)
+
+
+#: 640 symbols of 16 (two lanes, a two-byte frequency each).
+_SYMS = np.random.default_rng(5).permutation(np.arange(640) % 16)
+
+
+class TestMalformedStreams:
+    """A decoder that runs out of bytes, or finds some left over, says
+    so instead of making symbols up."""
+
+    @pytest.mark.parametrize("cut, n_values, n_symbols, message", [
+        (3, 640, 16, "ends inside the table"),
+        (50, 640, 16, "ends inside the final states"),
+        (-2, 640, 16, "too few words"),
+        (-1, 640, 16, "ends inside a word"),
+        (None, 641, 16, "too few words"),
+        (None, 639, 16, "do not end in their initial state"),
+        (None, 640, 8192, "sum to 4096, not 8192"),
+    ])
+    def test_truncated_or_mismatched(self, cut, n_values, n_symbols,
+                                     message):
+        data = lane_encode(_SYMS, 16)[:cut]
+        with pytest.raises(ValueError, match=message):
+            lane_decode(data, n_values, n_symbols)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\x7f", "128 table entries for 16 symbols"),
+        (b"\x00\x10\x00", "outside 16 symbols"),
+        (b"\x00\x03\xfe\x1f\x00", "sum to 4095, not 4096"),
+        (b"\x00\x03\xff\x1f\x80\x80\x80\x80\x7f", "out of range"),
+        (b"\x00\x03\xff\x1f\x80\x80\x80\x80\x80", "not a varint"),
+    ])
+    def test_bad_header(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            lane_decode(data, 10, 16)
+
+    def test_leftover_words(self):
+        data = lane_encode(_SYMS, 16) + bytes(4)
+        with pytest.raises(ValueError, match="2 words left over"):
+            lane_decode(data, 640, 16)
+
+    def test_empty_stream_has_no_bytes(self):
+        with pytest.raises(ValueError, match="empty stream"):
+            lane_decode(b"\0", 0, 16)
+
+    def test_invalid_alphabet(self):
+        for n_symbols in (0, -3):
+            with pytest.raises(ValueError, match="alphabet must be non-"):
+                lane_encode(np.array([], dtype=np.int64), n_symbols)
+            with pytest.raises(ValueError, match="alphabet must be non-"):
+                lane_decode(b"\x12\x34", 3, n_symbols)
+        with pytest.raises(ValueError, match="at most 65536"):
+            lane_encode(np.array([0]), 65_537)
+
+    @_streams
+    @settings(max_examples=40, deadline=None)
+    def test_every_truncation_raises(self, kind, n_symbols, length, seed):
+        """The decoder uses every byte of a stream, so a proper prefix
+        always runs short."""
+        data = lane_encode(_stream(kind, n_symbols, length, seed), n_symbols)
+        for cut in {0, len(data) // 2, len(data) - 1} - {len(data)}:
+            if cut >= 0:
+                with pytest.raises(ValueError):
+                    lane_decode(data[:cut], length, n_symbols)
+
+    @given(data=st.binary(max_size=64), n_values=st.integers(0, 600),
+           n_symbols=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes_decode_or_raise(self, data, n_values, n_symbols):
+        _decodes_or_raises(data, n_values, n_symbols)
+
+    @given(position=st.integers(0, 10**6), flip=st.integers(1, 255),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_corrupted_stream_decodes_or_raises(self, position, flip,
+                                                seed):
+        syms = _stream("skewed", 16, 1500, seed)
+        data = bytearray(lane_encode(syms, 16))
+        data[position % len(data)] ^= flip
+        _decodes_or_raises(bytes(data), 1500, 16)
+
+
+def _decodes_or_raises(data, n_values, n_symbols):
+    """Either ``n_values`` in-range symbols or a :class:`ValueError`."""
+    try:
+        got = lane_decode(data, n_values, n_symbols)
+    except ValueError:
+        return
+    assert got.dtype == np.int64 and got.shape == (n_values,)
+    assert ((got >= 0) & (got < n_symbols)).all()
