@@ -7,19 +7,20 @@ transfer by exploiting two distributional properties of KV tensors:
    information lives in the delta between a token and a preceding
    "anchor" token;
 2. *low delta entropy* — the quantized deltas concentrate around zero,
-   so arithmetic coding shrinks them well below their nominal width.
+   so entropy coding shrinks them well below their nominal width.
 
 This implementation follows that recipe: tokens are grouped into chunks;
 the first token of each chunk is the anchor, quantized per channel at
 ``anchor_bits``; the remaining tokens are encoded as deltas from the
-anchor, quantized at ``delta_bits`` and compressed with the adaptive
-arithmetic coder of :mod:`repro.quant.entropy`.  The reported ``nbytes``
-is the *actual* bitstream length plus metadata, which on realistic KV
-planes lands at the ~86% compression the paper quotes for CacheGen.
+anchor, quantized at ``delta_bits`` and compressed with the rANS coder
+of :mod:`repro.quant.entropy`.  CacheGen codes with symbol tables it
+profiles offline; here each plane's stream carries its own static
+table, so the reported ``nbytes`` — the *actual* bitstream length,
+table included, plus metadata — pays for it.  On realistic KV planes
+that lands near the ~86% compression the paper quotes for CacheGen.
 
 Like the real CacheGen, decoding must reconstruct the full FP plane
-before attention can run — the dequantization overhead HACK eliminates.
-"""
+before attention can run — the dequantization overhead HACK eliminates."""
 
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ _FP32_BYTES = 4
 
 
 class CacheGenCompressor(KVCompressor):
-    """Delta + arithmetic-coded KV compressor in the style of CacheGen.
+    """Delta + entropy-coded KV compressor in the style of CacheGen.
 
     Parameters
     ----------
@@ -50,7 +51,7 @@ class CacheGenCompressor(KVCompressor):
         Bins are tied to the channel's value range (as CacheGen's
         layer-level bins are), so token locality — deltas small relative
         to the channel range — shows up as center-concentrated codes
-        that the arithmetic coder shrinks far below ``delta_bits``.
+        that the entropy coder shrinks far below ``delta_bits``.
     """
 
     name = "cachegen"
@@ -86,8 +87,8 @@ class CacheGenCompressor(KVCompressor):
         # Delta bins are per channel, ``delta_gain`` anchor bins wide —
         # fixed by the channel's range, *not* adapted to the deltas
         # themselves.  Smooth token sequences therefore emit codes
-        # concentrated at the centre symbol, which the adaptive
-        # arithmetic coder compresses to a fraction of ``delta_bits``.
+        # concentrated at the centre symbol, which the entropy coder
+        # compresses to a fraction of ``delta_bits``.
         delta_scale = anchor_scale * self.delta_gain
         anchors = []
         delta_codes = []

@@ -33,7 +33,7 @@ from itertools import count
 
 import numpy as np
 
-__all__ = ["encode", "decode", "lane_encode", "lane_decode"]
+__all__ = ["encode", "decode"]
 
 _PRECISION = 32
 _FULL = (1 << _PRECISION) - 1
@@ -89,7 +89,7 @@ def _check_symbols(symbols: np.ndarray, n_symbols: int) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
+def _adaptive_encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     """Encode a 1-D array of integer symbols into a bitstream.
 
     Every symbol must be a whole number in ``[0, n_symbols)``; anything
@@ -150,7 +150,7 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     return bytes(out)
 
 
-def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
+def _adaptive_decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
     """Decode ``n_values`` symbols from a bitstream.
 
     Bits past the end of ``data`` read as zeros, so a truncated or
@@ -278,7 +278,7 @@ def _put_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
-def lane_encode(symbols: np.ndarray, n_symbols: int) -> bytes:
+def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     """Encode a 1-D array of integer symbols into a bitstream.
 
     Every symbol must be a whole number in ``[0, n_symbols)``; anything
@@ -326,7 +326,7 @@ def lane_encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     return bytes(out)
 
 
-def lane_decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
+def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
     """Decode ``n_values`` symbols from a bitstream.
 
     A stream that is truncated, garbage or was written for another

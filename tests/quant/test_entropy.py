@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_entropy_golden import every_step_renormalises, plane_bitstream
 
 from repro.quant import entropy
-from repro.quant.entropy import decode, encode, lane_decode, lane_encode
+from repro.quant.entropy import decode, encode
 
 
 class TestRoundTrip:
@@ -98,11 +98,11 @@ class TestStreamingApi:
         for s in syms:
             enc.encode_symbol(int(s))
         data = enc.finish()
-        assert data == encode(syms, 8)
+        assert data == entropy._adaptive_encode(syms, 8)
 
     def test_decoder_streaming(self):
         syms = [3, 1, 4, 1, 5]
-        data = encode(np.array(syms), 8)
+        data = entropy._adaptive_encode(np.array(syms), 8)
         dec = ArithmeticDecoder(data, 8)
         assert [dec.decode_symbol() for _ in syms] == syms
 
@@ -158,7 +158,7 @@ class TestMatchesOracle:
     @settings(max_examples=40, deadline=None)
     def test_encode_is_byte_identical(self, kind, n_symbols, length, seed):
         syms = _stream(kind, n_symbols, length, seed)
-        assert encode(syms, n_symbols) == oracle_encode(syms, n_symbols)
+        assert entropy._adaptive_encode(syms, n_symbols) == oracle_encode(syms, n_symbols)
 
     @_long_streams
     @_streams
@@ -166,11 +166,11 @@ class TestMatchesOracle:
     def test_decode_matches_on_valid_and_truncated_streams(
             self, kind, n_symbols, length, seed):
         syms = _stream(kind, n_symbols, length, seed)
-        data = encode(syms, n_symbols)
-        np.testing.assert_array_equal(decode(data, length, n_symbols), syms)
+        data = entropy._adaptive_encode(syms, n_symbols)
+        np.testing.assert_array_equal(entropy._adaptive_decode(data, length, n_symbols), syms)
         cut = data[:np.random.default_rng(seed).integers(0, len(data) + 1)]
         np.testing.assert_array_equal(
-            decode(cut, length, n_symbols),
+            entropy._adaptive_decode(cut, length, n_symbols),
             oracle_decode(cut, length, n_symbols))
 
     @given(data=st.binary(max_size=64), n_values=st.integers(0, 600),
@@ -178,7 +178,7 @@ class TestMatchesOracle:
     @settings(max_examples=60, deadline=None)
     def test_decode_of_random_bytes(self, data, n_values, n_symbols):
         """Reads past the end are zeros, and no stream makes it raise."""
-        got = decode(data, n_values, n_symbols)
+        got = entropy._adaptive_decode(data, n_values, n_symbols)
         np.testing.assert_array_equal(
             got, oracle_decode(data, n_values, n_symbols))
         assert got.dtype == np.int64 and got.shape == (n_values,)
@@ -252,8 +252,8 @@ class TestLanes:
     @pytest.mark.parametrize("length", _LANE_STEPS)
     def test_roundtrip_at_lane_steps(self, length):
         syms = _stream("skewed", 16, length, length)
-        data = lane_encode(syms, 16)
-        np.testing.assert_array_equal(lane_decode(data, length, 16), syms)
+        data = encode(syms, 16)
+        np.testing.assert_array_equal(decode(data, length, 16), syms)
 
     @_long_streams
     @_streams
@@ -261,8 +261,8 @@ class TestLanes:
     def test_roundtrip_over_alphabets_and_lengths(self, kind, n_symbols,
                                                   length, seed):
         syms = _stream(kind, n_symbols, length, seed)
-        data = lane_encode(syms, n_symbols)
-        got = lane_decode(data, length, n_symbols)
+        data = encode(syms, n_symbols)
+        got = decode(data, length, n_symbols)
         np.testing.assert_array_equal(got, syms)
         assert got.dtype == np.int64
 
@@ -270,14 +270,14 @@ class TestLanes:
         """One slot per symbol: a 16-bit word per symbol, after a table
         of two bytes per symbol."""
         syms = every_step_renormalises()
-        data = lane_encode(syms, 1 << 16)
+        data = encode(syms, 1 << 16)
         assert len(data) > 4 * syms.size
         np.testing.assert_array_equal(
-            lane_decode(data, syms.size, 1 << 16), syms)
+            decode(data, syms.size, 1 << 16), syms)
 
     def test_constant_stream_moves_no_words(self):
         """A one-symbol table leaves every state where it started."""
-        assert lane_encode(np.full(4000, 7), 16) == \
+        assert encode(np.full(4000, 7), 16) == \
             bytes([0, 7, 0xFF, 0x1F]) + bytes(8)
 
 
@@ -300,9 +300,9 @@ class TestMalformedStreams:
     ])
     def test_truncated_or_mismatched(self, cut, n_values, n_symbols,
                                      message):
-        data = lane_encode(_SYMS, 16)[:cut]
+        data = encode(_SYMS, 16)[:cut]
         with pytest.raises(ValueError, match=message):
-            lane_decode(data, n_values, n_symbols)
+            decode(data, n_values, n_symbols)
 
     @pytest.mark.parametrize("data, message", [
         (b"\x7f", "128 table entries for 16 symbols"),
@@ -313,36 +313,36 @@ class TestMalformedStreams:
     ])
     def test_bad_header(self, data, message):
         with pytest.raises(ValueError, match=message):
-            lane_decode(data, 10, 16)
+            decode(data, 10, 16)
 
     def test_leftover_words(self):
-        data = lane_encode(_SYMS, 16) + bytes(4)
+        data = encode(_SYMS, 16) + bytes(4)
         with pytest.raises(ValueError, match="2 words left over"):
-            lane_decode(data, 640, 16)
+            decode(data, 640, 16)
 
     def test_empty_stream_has_no_bytes(self):
         with pytest.raises(ValueError, match="empty stream"):
-            lane_decode(b"\0", 0, 16)
+            decode(b"\0", 0, 16)
 
     def test_invalid_alphabet(self):
         for n_symbols in (0, -3):
             with pytest.raises(ValueError, match="alphabet must be non-"):
-                lane_encode(np.array([], dtype=np.int64), n_symbols)
+                encode(np.array([], dtype=np.int64), n_symbols)
             with pytest.raises(ValueError, match="alphabet must be non-"):
-                lane_decode(b"\x12\x34", 3, n_symbols)
+                decode(b"\x12\x34", 3, n_symbols)
         with pytest.raises(ValueError, match="at most 65536"):
-            lane_encode(np.array([0]), 65_537)
+            encode(np.array([0]), 65_537)
 
     @_streams
     @settings(max_examples=40, deadline=None)
     def test_every_truncation_raises(self, kind, n_symbols, length, seed):
         """The decoder uses every byte of a stream, so a proper prefix
         always runs short."""
-        data = lane_encode(_stream(kind, n_symbols, length, seed), n_symbols)
+        data = encode(_stream(kind, n_symbols, length, seed), n_symbols)
         for cut in {0, len(data) // 2, len(data) - 1} - {len(data)}:
             if cut >= 0:
                 with pytest.raises(ValueError):
-                    lane_decode(data[:cut], length, n_symbols)
+                    decode(data[:cut], length, n_symbols)
 
     @given(data=st.binary(max_size=64), n_values=st.integers(0, 600),
            n_symbols=st.integers(1, 300))
@@ -356,7 +356,7 @@ class TestMalformedStreams:
     def test_corrupted_stream_decodes_or_raises(self, position, flip,
                                                 seed):
         syms = _stream("skewed", 16, 1500, seed)
-        data = bytearray(lane_encode(syms, 16))
+        data = bytearray(encode(syms, 16))
         data[position % len(data)] ^= flip
         _decodes_or_raises(bytes(data), 1500, 16)
 
@@ -364,7 +364,7 @@ class TestMalformedStreams:
 def _decodes_or_raises(data, n_values, n_symbols):
     """Either ``n_values`` in-range symbols or a :class:`ValueError`."""
     try:
-        got = lane_decode(data, n_values, n_symbols)
+        got = decode(data, n_values, n_symbols)
     except ValueError:
         return
     assert got.dtype == np.int64 and got.shape == (n_values,)

@@ -2,7 +2,7 @@
 
 The CacheGen comparator's ratio is the bitstream's length, and a stored
 payload is only readable by the coder that wrote it, so
-:func:`repro.quant.entropy.lane_encode` must stay byte-identical across
+:func:`repro.quant.entropy.encode` must stay byte-identical across
 rewrites.  Each case pins the SHA-256 and byte length of the encoder's
 output for one fixed input; the inputs cover the ``kernels-decode``
 plane, three alphabet sizes, the degenerate streams (no words at all
@@ -21,7 +21,7 @@ from repro.accuracy.kv_distributions import (
     synthetic_plane,
 )
 from repro.quant import CacheGenCompressor
-from repro.quant.entropy import decode, lane_encode
+from repro.quant.entropy import encode
 
 #: case -> (byte length, SHA-256 of the bitstream)
 GOLDEN = {
@@ -57,13 +57,9 @@ def plane_bitstream(seed: int) -> bytes:
     return payload["bitstream"]
 
 
-def _plane(seed: int) -> bytes:
-    return lane_encode(decode(plane_bitstream(seed), 61_440, 16), 16)
-
-
 def _random(n_symbols: int) -> bytes:
     rng = np.random.default_rng(n_symbols)
-    return lane_encode(rng.integers(0, n_symbols, size=5000), n_symbols)
+    return encode(rng.integers(0, n_symbols, size=5000), n_symbols)
 
 
 def every_step_renormalises() -> np.ndarray:
@@ -73,16 +69,16 @@ def every_step_renormalises() -> np.ndarray:
 
 
 _CASES = {
-    "plane-seed1": lambda: _plane(1),
-    "plane-seed2": lambda: _plane(2),
+    "plane-seed1": lambda: plane_bitstream(1),
+    "plane-seed2": lambda: plane_bitstream(2),
     "random-2": lambda: _random(2),
     "random-16": lambda: _random(16),
     "random-256": lambda: _random(256),
-    "empty": lambda: lane_encode(np.array([], dtype=np.int64), 16),
-    "single": lambda: lane_encode(np.array([5]), 16),
-    "constant-4000": lambda: lane_encode(np.full(4000, 7), 16),
+    "empty": lambda: encode(np.array([], dtype=np.int64), 16),
+    "single": lambda: encode(np.array([5]), 16),
+    "constant-4000": lambda: encode(np.full(4000, 7), 16),
     "every-step-renormalises":
-        lambda: lane_encode(every_step_renormalises(), 1 << 16),
+        lambda: encode(every_step_renormalises(), 1 << 16),
 }
 
 
