@@ -7,7 +7,7 @@ what carry over):
 * Eq. 4's per-iteration correction flops are orders of magnitude below
   the comparators' dequantization flops at long context (§5.3);
 * HACK's wire bytes are ~6.4x smaller than FP16;
-* the arithmetic coder and quantizer throughputs, for the record.
+* the entropy coder and quantizer throughputs, for the record.
 """
 
 import numpy as np

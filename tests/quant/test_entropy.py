@@ -1,17 +1,9 @@
-"""Tests for repro.quant.entropy — the arithmetic coder.
-
-``_entropy_oracle`` is the symbol-at-a-time coder the module used to
-be; the differential tests require the rewrite to match it byte for
-byte on encode and symbol for symbol on decode, garbage included.
-"""
+"""Tests for repro.quant.entropy — the lane-interleaved rANS coder."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from _entropy_oracle import ArithmeticDecoder, ArithmeticEncoder
-from _entropy_oracle import decode as oracle_decode
-from _entropy_oracle import encode as oracle_encode
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_entropy_golden import every_step_renormalises, plane_bitstream
@@ -81,37 +73,11 @@ class TestCompression:
         assert 3.9 < bits_per_symbol < 4.3
 
     def test_adaptivity_learns_distribution(self):
-        """The adaptive model re-learns after a distribution shift and
-        still codes far below the nominal 4 bits per symbol."""
+        """A stream that shifts from one symbol to another codes near
+        its one bit of entropy per symbol, far below the nominal 4."""
         syms = np.concatenate([np.full(2000, 1), np.full(2000, 9)])
         data = encode(syms, 16)
         assert len(data) * 8 / syms.size < 1.2
-
-
-class TestStreamingApi:
-    """The oracle's streaming coder agrees with the batch functions."""
-
-    def test_incremental_matches_batch(self):
-        rng = np.random.default_rng(2)
-        syms = rng.integers(0, 8, size=100)
-        enc = ArithmeticEncoder(8)
-        for s in syms:
-            enc.encode_symbol(int(s))
-        data = enc.finish()
-        assert data == entropy._adaptive_encode(syms, 8)
-
-    def test_decoder_streaming(self):
-        syms = [3, 1, 4, 1, 5]
-        data = entropy._adaptive_encode(np.array(syms), 8)
-        dec = ArithmeticDecoder(data, 8)
-        assert [dec.decode_symbol() for _ in syms] == syms
-
-    def test_invalid_alphabet(self):
-        for n_symbols in (0, -3):
-            with pytest.raises(ValueError, match="alphabet must be non-"):
-                encode(np.array([], dtype=np.int64), n_symbols)
-            with pytest.raises(ValueError, match="alphabet must be non-"):
-                decode(b"\x12\x34", 3, n_symbols)
 
 
 class TestDecodeChecks:
@@ -133,8 +99,8 @@ def _stream(kind: str, n_symbols: int, length: int, seed: int) -> np.ndarray:
     return np.full(length, rng.integers(0, n_symbols), dtype=np.int64)
 
 
-#: Alphabets 1–300 and lengths up to 5000: every alphabet's stream can
-#: cross the encoder's numpy chunks (``_CHUNK_CELLS // (n + 1)`` rows).
+#: Alphabets 1–300 and lengths up to 5000: up to ten lanes, with a
+#: short last row at most lengths.
 _streams = given(kind=st.sampled_from(["uniform", "skewed", "constant"]),
                  n_symbols=st.integers(1, 300), length=st.integers(0, 5000),
                  seed=st.integers(0, 2**32 - 1))
@@ -142,46 +108,11 @@ _streams = given(kind=st.sampled_from(["uniform", "skewed", "constant"]),
 
 def _long_streams(test):
     """Always run the longest streams too, which hypothesis seldom
-    draws: several chunks at the smallest and largest alphabets."""
+    draws: ten lanes at the smallest and largest alphabets."""
     for kind, n_symbols in [("constant", 1), ("uniform", 2), ("skewed", 16),
                             ("skewed", 255), ("uniform", 300)]:
         test = example(kind, n_symbols, 5000, 0)(test)
     return test
-
-
-class TestMatchesOracle:
-    def test_chunks_are_shorter_than_the_longest_stream(self):
-        assert entropy._CHUNK_CELLS // 2 < 5000
-
-    @_long_streams
-    @_streams
-    @settings(max_examples=40, deadline=None)
-    def test_encode_is_byte_identical(self, kind, n_symbols, length, seed):
-        syms = _stream(kind, n_symbols, length, seed)
-        assert entropy._adaptive_encode(syms, n_symbols) == oracle_encode(syms, n_symbols)
-
-    @_long_streams
-    @_streams
-    @settings(max_examples=40, deadline=None)
-    def test_decode_matches_on_valid_and_truncated_streams(
-            self, kind, n_symbols, length, seed):
-        syms = _stream(kind, n_symbols, length, seed)
-        data = entropy._adaptive_encode(syms, n_symbols)
-        np.testing.assert_array_equal(entropy._adaptive_decode(data, length, n_symbols), syms)
-        cut = data[:np.random.default_rng(seed).integers(0, len(data) + 1)]
-        np.testing.assert_array_equal(
-            entropy._adaptive_decode(cut, length, n_symbols),
-            oracle_decode(cut, length, n_symbols))
-
-    @given(data=st.binary(max_size=64), n_values=st.integers(0, 600),
-           n_symbols=st.integers(1, 300))
-    @settings(max_examples=60, deadline=None)
-    def test_decode_of_random_bytes(self, data, n_values, n_symbols):
-        """Reads past the end are zeros, and no stream makes it raise."""
-        got = entropy._adaptive_decode(data, n_values, n_symbols)
-        np.testing.assert_array_equal(
-            got, oracle_decode(data, n_values, n_symbols))
-        assert got.dtype == np.int64 and got.shape == (n_values,)
 
 
 class TestMemory:
