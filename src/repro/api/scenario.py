@@ -27,6 +27,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
+from ..cluster.gpu import get_gpu
 from ..cluster.instances import parse_fleet_spec
 from ..methods import MethodSpec
 from ..model.config import ModelSpec
@@ -180,6 +181,10 @@ class Scenario:
         if self.seed is not None:
             check_count("seed", self.seed, minimum=0)
         parse_fleet_spec(self.prefill_gpu)  # unknown GPUs fail here
+        try:
+            get_gpu(self.decode_gpu)
+        except KeyError as exc:
+            raise ValueError(f"decode_gpu: {exc.args[0]}") from None
         for name in _POSITIVE + _NON_NEGATIVE + _COUNTS:
             value = getattr(self, name)
             if value is None:

@@ -124,6 +124,13 @@ class TestScenarioNumbers:
         with pytest.raises(ValueError, match="unknown GPU 'Z80'"):
             Scenario(prefill_gpu="A10G:2+Z80")
 
+    def test_unknown_decode_gpu(self):
+        """Once, this constructed and failed only in resolution, with a
+        ``KeyError`` from the parallelism table."""
+        with pytest.raises(ValueError,
+                           match="decode_gpu: unknown GPU 'Z80'.*A100"):
+            Scenario(decode_gpu="Z80")
+
     @pytest.mark.parametrize("bad", [NAN, -INF, -0.5, "fast"])
     def test_calibration_values(self, bad):
         with pytest.raises(ValueError, match="calibration value kv_bw_eff"):
