@@ -142,21 +142,23 @@ def encode(symbols: np.ndarray, n_symbols: int) -> bytes:
     lanes = _lanes(n_values)
     state = np.full(lanes, _STATE_LOW, dtype=np.int64)
     shift = 2 * _WORD_BITS - bits  # x < f << shift keeps x < 2 ** 32
-    words = []
+    # At most one word per symbol, filled from the back.
+    words = np.empty(n_values, dtype="<u2")
+    first = n_values
     for start in range(lanes * ((n_values - 1) // lanes), -1, -lanes):
         row = values[start:start + lanes]
         f = freq[row]
         x = state[:row.size]
         spill = x >= f << shift
-        if spill.any():
-            words.append(x[spill])
+        n_spill = int(np.count_nonzero(spill))
+        if n_spill:
+            words[first - n_spill:first] = x[spill] & 0xFFFF
+            first -= n_spill
             x[spill] >>= _WORD_BITS
         state[:row.size] = (x // f << bits) + x % f + cum[row]
     for x in (state - _STATE_LOW).tolist():
         _put_varint(x, out)
-    if words:
-        stream = np.concatenate(words[::-1]) & 0xFFFF
-        out += stream.astype("<u2").tobytes()
+    out += words[first:].tobytes()
     return bytes(out)
 
 
@@ -218,7 +220,7 @@ def decode(data: bytes, n_values: int, n_symbols: int) -> np.ndarray:
         raise ValueError("final state out of range: above 2 ** 32")
     if (len(data) - pos) % 2:
         raise ValueError("stream is short: it ends inside a word")
-    words = np.frombuffer(data, "<u2", offset=pos).astype(np.int64)
+    words = np.frombuffer(data, "<u2", offset=pos)
 
     cum = np.cumsum(freq) - freq
     slot_symbol = np.repeat(np.arange(n_symbols), freq)

@@ -206,11 +206,6 @@ class TestLanes:
         np.testing.assert_array_equal(
             decode(data, syms.size, 1 << 16), syms)
 
-    def test_constant_stream_moves_no_words(self):
-        """A one-symbol table leaves every state where it started."""
-        assert encode(np.full(4000, 7), 16) == \
-            bytes([0, 7, 0xFF, 0x1F]) + bytes(8)
-
 
 #: 640 symbols of 16 (two lanes, a two-byte frequency each).
 _SYMS = np.random.default_rng(5).permutation(np.arange(640) % 16)
