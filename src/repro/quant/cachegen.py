@@ -20,7 +20,8 @@ table included, plus metadata — pays for it.  On realistic KV planes
 that lands near the ~86% compression the paper quotes for CacheGen.
 
 Like the real CacheGen, decoding must reconstruct the full FP plane
-before attention can run — the dequantization overhead HACK eliminates."""
+before attention can run — the dequantization overhead HACK eliminates.
+"""
 
 from __future__ import annotations
 
